@@ -27,6 +27,15 @@ def export_att(t: Transducer, table: SymbolTable) -> str:
 
 
 def import_att(text: str, table: SymbolTable) -> Transducer:
+    """Parse AT&T text whose labels must all be in table already."""
+    def label(name, lineno):
+        if name == EPSILON_TEXT:
+            return EPSILON_ID
+        if name not in table:
+            raise ParseError(f"symbol {name!r} is not in the symbol table",
+                             line=lineno)
+        return table.id_of(name)
+
     arcs = []
     finals = set()
     states = set()
@@ -45,9 +54,8 @@ def import_att(text: str, table: SymbolTable) -> Transducer:
                 src, dst = int(parts[0]), int(parts[1])
             except ValueError:
                 raise ParseError(f"bad state number in {line!r}", line=lineno)
-            i = EPSILON_ID if parts[2] == EPSILON_TEXT else table.intern(parts[2]).id
-            o = EPSILON_ID if parts[3] == EPSILON_TEXT else table.intern(parts[3]).id
-            arcs.append((src, i, o, dst))
+            arcs.append((src, label(parts[2], lineno),
+                         label(parts[3], lineno), dst))
             states.update((src, dst))
         else:
             raise ParseError(f"expected 1 or 4 tab-separated fields: {line!r}",

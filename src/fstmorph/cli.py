@@ -28,6 +28,7 @@ GENERATOR_ATT = "generator.att"
 ANALYZER_ATT = "analyzer.att"
 SYMBOLS_TSV = "symbols.tsv"
 GLOSSES_TSV = "glosses.tsv"
+RELAX_TSV = "relax.tsv"
 MANIFEST_JSON = "manifest.json"
 
 
@@ -50,11 +51,11 @@ def _build(args):
             _read(args.relax), table, args.relax)
     pipeline = lookup.build_pipeline(ast, ruleset, args.mode, orthography,
                                      relax_spec, args.strategy)
-    return ast, pipeline
+    return ast, pipeline, relax_spec
 
 
 def cmd_compile(args):
-    ast, pipeline = _build(args)
+    _, pipeline, relax_spec = _build(args)
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     table = pipeline.table
@@ -70,20 +71,24 @@ def cmd_compile(args):
             gloss_lines.append(f"{lemma}\t{pos}\t{g}")
     (out / GLOSSES_TSV).write_text(
         "\n".join(gloss_lines) + "\n", encoding="utf-8")
+    files = [GENERATOR_ATT, ANALYZER_ATT, SYMBOLS_TSV, GLOSSES_TSV]
+    if relax_spec:
+        (out / RELAX_TSV).write_text(
+            lookup.format_mapping_file(relax_spec, table), encoding="utf-8")
+        files.append(RELAX_TSV)
     manifest = {"mode": args.mode, "strategy": args.strategy,
-                "files": [GENERATOR_ATT, ANALYZER_ATT, SYMBOLS_TSV,
-                          GLOSSES_TSV]}
+                "files": files}
     (out / MANIFEST_JSON).write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n",
         encoding="utf-8")
-    print(f"wrote {out}/{{{GENERATOR_ATT},{ANALYZER_ATT},"
-          f"{SYMBOLS_TSV},{GLOSSES_TSV},{MANIFEST_JSON}}}")
+    print(f"wrote {out}/{{{','.join(files + [MANIFEST_JSON])}}}")
     return 0
 
 
 def _load_artifacts(artifact_dir):
     base = pathlib.Path(artifact_dir)
     table = att.import_symbols(_read(base / SYMBOLS_TSV))
+    table.freeze()
     generator = att.import_att(_read(base / GENERATOR_ATT), table)
     analyzer = att.import_att(_read(base / ANALYZER_ATT), table)
     rows = {}
@@ -95,10 +100,14 @@ def _load_artifacts(artifact_dir):
             lemma, pos, gloss = line.split("\t")
             rows.setdefault((lemma, pos), []).append(gloss)
     manifest = json.loads(_read(base / MANIFEST_JSON))
-    pipeline = lookup.Pipeline(
+    relax = None
+    if RELAX_TSV in manifest.get("files", ()):
+        spec = lookup.parse_mapping_file(
+            _read(base / RELAX_TSV), table, str(base / RELAX_TSV))
+        relax = lookup.build_relax(table, spec, analyzer.input_labels())
+    return lookup.Pipeline(
         table, None, None, generator, analyzer, manifest.get("mode"),
-        None, lexc.GlossTable(rows))
-    return pipeline
+        relax, lexc.GlossTable(rows))
 
 
 def cmd_lookup(args):
@@ -127,7 +136,7 @@ def cmd_lookup(args):
 
 
 def cmd_test(args):
-    _, pipeline = _build(args)
+    _, pipeline, _ = _build(args)
     cases = testkit.parse_suite(_read(args.suite), filename=args.suite)
     report = testkit.run_suite(pipeline, cases, args.direction)
     sys.stdout.write(report.to_json_lines() if args.json
@@ -136,7 +145,7 @@ def cmd_test(args):
 
 
 def cmd_stats(args):
-    ast, pipeline = _build(args)
+    ast, pipeline, _ = _build(args)
     stats = testkit.coverage_stats(ast, pipeline, max_len=args.max_len,
                                    max_count=args.max_count)
     if args.json:

@@ -8,7 +8,7 @@ are symbol ids from one shared SymbolTable; id 0 is epsilon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import AlphabetMismatchError, NotAnAcceptorError
 from .symbols import EPSILON_ID, SymbolTable
@@ -17,7 +17,8 @@ from .symbols import EPSILON_ID, SymbolTable
 class Transducer:
     """States 0..num_states-1, arcs (src, in, out, dst), one start state."""
 
-    __slots__ = ("table", "num_states", "start", "finals", "arcs", "_adj")
+    __slots__ = ("table", "num_states", "start", "finals", "arcs", "_adj",
+                 "_by_input")
 
     def __init__(self, table, num_states, start, finals, arcs):
         self.table = table
@@ -26,6 +27,7 @@ class Transducer:
         self.finals = frozenset(finals)
         self.arcs = tuple(sorted(arcs))
         self._adj = None
+        self._by_input = None
         assert start < num_states
         assert all(s < num_states for s in self.finals)
         assert all(a[0] < num_states and a[3] < num_states for a in self.arcs)
@@ -37,6 +39,16 @@ class Transducer:
                 adj[a[0]].append(a)
             self._adj = adj
         return self._adj[state]
+
+    def input_index(self):
+        """{(state, input label): arcs} over every arc, in arc order;
+        built on first use and kept, like the arcs_from lists."""
+        if self._by_input is None:
+            index = {}
+            for a in self.arcs:
+                index.setdefault((a[0], a[1]), []).append(a)
+            self._by_input = index
+        return self._by_input
 
     def is_acceptor(self):
         return all(i == o for _, i, o, _ in self.arcs)
@@ -63,9 +75,6 @@ class PathSet:
 
     pairs: list
     truncated: bool = False
-
-    def as_text(self, table):
-        return [(table.render(i), table.render(o)) for i, o in self.pairs]
 
 
 def _check_tables(*ts):
@@ -251,9 +260,7 @@ def compose(a: Transducer, b: Transducer) -> Transducer:
     """Exact relation composition; the epsilon filter guarantees each
     composed path is represented exactly once."""
     _check_tables(a, b)
-    b_by_input = {}
-    for arc in b.arcs:
-        b_by_input.setdefault((arc[0], arc[1]), []).append(arc)
+    b_by_input = b.input_index()
 
     start = (a.start, b.start, 0)
     index = {start: 0}
@@ -532,6 +539,97 @@ def enumerate_paths(a: Transducer, max_input_len: int, max_count: int) -> PathSe
         pairs = pairs[:max_count]
         truncated = True
     return PathSet(pairs, truncated)
+
+
+def _word_coreachable(a, index, ids):
+    """(position, state) nodes of the word's lattice, reachable from
+    (0, start), from which ids[position:] can be read to a final state:
+    the states that trimming keeps in the string acceptor of ids
+    composed with a."""
+    n = len(ids)
+    start = (0, a.start)
+    seen = {start}
+    stack = [start]
+    preds = {}
+    while stack:
+        node = stack.pop()
+        k, q = node
+        succ = [(k, arc[3]) for arc in index.get((q, EPSILON_ID), ())]
+        if k < n:
+            succ += [(k + 1, arc[3]) for arc in index.get((q, ids[k]), ())]
+        for nxt in succ:
+            preds.setdefault(nxt, []).append(node)
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    live = {(k, q) for k, q in seen if k == n and q in a.finals}
+    stack = list(live)
+    while stack:
+        for p in preds.get(stack.pop(), ()):
+            if p not in live:
+                live.add(p)
+                stack.append(p)
+    return live
+
+
+def lookup_paths(a: Transducer, ids, max_len: int, max_count: int) -> PathSet:
+    """The (ids, output) pairs of a, found by one walk from the start
+    state over the input-label index, without composing.
+
+    The bounds are those of enumerate_paths on the string acceptor of
+    ids composed with a: reading past max_len input symbols is cut; a
+    run of epsilon-input arcs is cut when it repeats an arc (the
+    composition's epsilon filter lets the run's first arc come round
+    once more); once max_count distinct pairs are found, the next
+    accepting path stops the walk.  A cut sets truncated only if a
+    final state is still reachable past it, as in the trimmed
+    composition.  Both give the same pairs and flag, except that when
+    max_count stops them, each keeps the pairs its own search order
+    found first, and with max_count > 1 the flag can also differ."""
+    if max_len < 0 or max_count <= 0:
+        raise ValueError("enumeration bounds must be positive")
+    ids = tuple(ids)
+    if EPSILON_ID in ids:
+        raise ValueError("lookup input cannot contain epsilon")
+    n = len(ids)
+    index = a.input_index()
+    finals = a.finals
+    coreachable = None
+
+    def live(node):
+        nonlocal coreachable
+        if coreachable is None:
+            coreachable = _word_coreachable(a, index, ids)
+        return node in coreachable
+
+    found = set()
+    truncated = False
+    # stack entries: (position, state, output, in an epsilon run,
+    # epsilon arcs taken in the run after its first)
+    stack = [(0, a.start, (), False, ())]
+    while stack:
+        k, q, out, in_run, used = stack.pop()
+        if k == n and q in finals:
+            if len(found) >= max_count:
+                truncated = True
+                break
+            found.add(out)
+        for arc in index.get((q, EPSILON_ID), ()):
+            o, d = arc[2], arc[3]
+            if arc in used:
+                truncated = truncated or live((k, d))
+                continue
+            stack.append((k, d, out + (o,) if o else out, True,
+                          used + (arc,) if in_run else used))
+        if k < n:
+            for _, _, o, d in index.get((q, ids[k]), ()):
+                if k >= max_len:
+                    truncated = truncated or live((k + 1, d))
+                    continue
+                stack.append((k + 1, d, out + (o,) if o else out, False,
+                              ()))
+    pairs = sorted(found, key=lambda o: (len(o), o))
+    return PathSet([(ids, o) for o in pairs], truncated)
 
 
 def language(a: Transducer, max_len: int) -> set:

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import fst, lexc, twol
-from .errors import FstMorphError, PipelineError
-from .symbols import EPSILON_ID, SymbolTable, UnknownSymbolError
+from .errors import FstMorphError, PipelineError, SymbolError
+from .symbols import EPSILON_ID, SymbolTable
 
 MODES = ("pedagogical", "normative")
 
@@ -43,6 +43,17 @@ class Pipeline:
     mode: str
     relax: fst.Transducer = None
     glosses: lexc.GlossTable = None
+    _relaxed_analyzer: fst.Transducer = field(default=None, init=False,
+                                              repr=False, compare=False)
+
+    def relaxed_analyzer(self) -> fst.Transducer:
+        """The analyzer read through the inverted relax map: surface
+        variants in, analyses out.  Built on the first relaxed lookup and
+        kept, so neither compile nor a cold start pays for it."""
+        if self._relaxed_analyzer is None:
+            self._relaxed_analyzer = fst.compose(fst.invert(self.relax),
+                                                 self.analyzer)
+        return self._relaxed_analyzer
 
 
 def _mapping_transducer(table, alphabet_ids, mapping, keep_original):
@@ -209,21 +220,16 @@ def _tokenize_strict(table, text):
     return [s.id for s in table.tokenize(text, intern_new=False)]
 
 
-def _apply(machine, table, ids, max_len, max_count):
-    acceptor = fst.string_pair(table, ids, ids)
-    out = fst.compose(acceptor, machine)
-    paths = fst.enumerate_paths(out, max_len, max_count)
-    results = sorted({table.render(p[1]) for p in paths.pairs})
-    return results, paths.truncated
+def _output_texts(table, paths):
+    return sorted({table.render(out) for _, out in paths.pairs})
 
 
 def generate(pipeline: Pipeline, analysis: str, max_count: int = 100,
              max_len: int = 200) -> list:
     """Apply-down: analysis string → surface forms."""
     ids = _tokenize_strict(pipeline.table, analysis)
-    forms, _ = _apply(pipeline.generator, pipeline.table, ids,
-                      max_len, max_count)
-    return forms
+    paths = fst.lookup_paths(pipeline.generator, ids, max_len, max_count)
+    return _output_texts(pipeline.table, paths)
 
 
 def _attach_glosses(pipeline, texts, relaxed):
@@ -244,18 +250,14 @@ def analyze(pipeline: Pipeline, surface: str, max_count: int = 100,
     """Apply-up: surface form → analyses; falls back to spell-relaxed
     readings (relaxed=True) only when the strict analysis is empty."""
     ids = _tokenize_strict(pipeline.table, surface)
-    strict, _ = _apply(pipeline.analyzer, pipeline.table, ids,
-                       max_len, max_count)
+    strict = _output_texts(pipeline.table, fst.lookup_paths(
+        pipeline.analyzer, ids, max_len, max_count))
     if strict:
         return _attach_glosses(pipeline, strict, False)
     if pipeline.relax is None:
         return []
-    variant_reader = fst.invert(pipeline.relax)
-    acceptor = fst.string_pair(pipeline.table, ids, ids)
-    chain = fst.compose(fst.compose(acceptor, variant_reader),
-                        pipeline.analyzer)
-    paths = fst.enumerate_paths(chain, max_len, max_count)
-    relaxed = sorted({pipeline.table.render(p[1]) for p in paths.pairs})
+    relaxed = _output_texts(pipeline.table, fst.lookup_paths(
+        pipeline.relaxed_analyzer(), ids, max_len, max_count))
     return _attach_glosses(pipeline, relaxed, True)
 
 
@@ -291,8 +293,26 @@ def parse_mapping_file(text, table, filename=None):
             raise FstMorphError(
                 f"{filename or '<mapping>'}:{lineno}: expected two "
                 f"tab-separated columns, got {raw!r}")
-        key = table.symbol_for(cols[0]).id
-        variant = (EPSILON_ID if cols[1] == "0"
-                   else table.symbol_for(cols[1]).id)
+        try:
+            key = table.symbol_for(cols[0]).id
+            variant = (EPSILON_ID if cols[1] == "0"
+                       else table.symbol_for(cols[1]).id)
+        except SymbolError as exc:
+            raise FstMorphError(
+                f"{filename or '<mapping>'}:{lineno}: {exc}") from None
         rows.setdefault(key, []).append(variant)
     return list(rows.items())
+
+
+def format_mapping_file(spec, table) -> str:
+    """Canonical text of a mapping, one sorted row per (symbol, variant),
+    that parse_mapping_file reads back to the same mapping."""
+    def cell(sid):
+        if sid == EPSILON_ID:
+            return "0"
+        text = table.resolve(sid)
+        return "%" + text if text == "0" or text.startswith("#") else text
+
+    rows = sorted((cell(k), cell(v)) for k, variants in spec
+                  for v in variants)
+    return "".join(f"{k}\t{v}\n" for k, v in rows)

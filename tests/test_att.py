@@ -46,3 +46,12 @@ def test_symbols_sidecar_round_trip(table):
 def test_import_rejects_bad_lines(table):
     with pytest.raises(ParseError):
         att.import_att("0\t1\ta", table)  # not enough columns
+
+
+def test_import_rejects_unknown_symbols(table):
+    text = "0\t1\ta\tb\n1\t2\tZZZ\ta\n2\n"
+    with pytest.raises(ParseError, match="2: .*'ZZZ'"):
+        att.import_att(text, table)
+    assert "ZZZ" not in table  # nothing was interned on the way
+    with pytest.raises(ParseError, match="1: "):
+        att.import_att("0\t1\ta\t\n1\n", table)  # an empty label

@@ -36,14 +36,27 @@ def run(argv, stdin_text=None, monkeypatch=None):
 def test_compile_writes_artifacts(artifacts):
     names = {p.name for p in artifacts.iterdir()}
     assert names == {"generator.att", "analyzer.att", "symbols.tsv",
-                     "glosses.tsv", "manifest.json"}
+                     "glosses.tsv", "relax.tsv", "manifest.json"}
+    manifest = json.loads((artifacts / "manifest.json").read_text())
+    assert manifest["files"] == ["generator.att", "analyzer.att",
+                                 "symbols.tsv", "glosses.tsv", "relax.tsv"]
+    assert (artifacts / "relax.tsv").read_text(encoding="utf-8") == \
+        "g\t0\nʹ\t0\nẹ\te\n"
+
+
+def test_compile_without_relax_writes_no_relax_map(tmp_path):
+    out = tmp_path / "plain"
+    assert cli.main(["compile", *fixture_args(), "--out", str(out)]) == 0
+    assert not (out / "relax.tsv").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "relax.tsv" not in manifest["files"]
 
 
 def test_compile_deterministic(artifacts, tmp_path):
     again = tmp_path / "again"
     assert cli.main(["compile", *full_args(), "--out", str(again)]) == 0
     for name in ("generator.att", "analyzer.att", "symbols.tsv",
-                 "glosses.tsv", "manifest.json"):
+                 "glosses.tsv", "relax.tsv", "manifest.json"):
         assert (again / name).read_bytes() == (artifacts / name).read_bytes()
 
 
@@ -59,6 +72,23 @@ def test_lookup_up_and_unknown(artifacts, capsys, monkeypatch):
                "radio\nzzzz\n", monkeypatch)
     assert code == 0
     assert capsys.readouterr().out == "radio\tradio+N+Sg+Nom\nzzzz\t+?\n"
+
+
+def test_lookup_up_relaxed(artifacts, capsys, monkeypatch):
+    code = run(["lookup", str(artifacts)], "viirdi\n", monkeypatch)
+    assert code == 0
+    assert capsys.readouterr().out == "viirdi\tveʹrdd+N+Pl+Gen\n"
+
+
+def test_relax_map_with_unknown_symbol_is_usage_error(artifacts, tmp_path,
+                                                      capsys, monkeypatch):
+    broken = tmp_path / "broken"
+    broken.mkdir()
+    for p in artifacts.iterdir():
+        (broken / p.name).write_bytes(p.read_bytes())
+    (broken / "relax.tsv").write_text("q\t0\n", encoding="utf-8")
+    assert run(["lookup", str(broken)], "", monkeypatch) == 2
+    assert "relax.tsv:1: " in capsys.readouterr().err
 
 
 def test_test_command_passes(capsys):
@@ -118,3 +148,13 @@ def test_att_export_import_round_trip(artifacts, tmp_path, capsys):
     assert cli.main(["import-att", str(att_file),
                      "--symbols", str(artifacts / "symbols.tsv")]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_import_att_rejects_unknown_symbol(artifacts, tmp_path, capsys):
+    att_file = tmp_path / "bad.att"
+    att_file.write_text("0\t1\ta\ta\n1\t2\tZZZ\tZZZ\n2\n",
+                        encoding="utf-8")
+    assert cli.main(["import-att", str(att_file),
+                     "--symbols", str(artifacts / "symbols.tsv")]) == 2
+    err = capsys.readouterr().err
+    assert "2: " in err and "ZZZ" in err

@@ -160,6 +160,17 @@ def test_relax_reads_variants(small_table):
     assert apply_filter(relax, small_table, "ae") == {"ae"}
 
 
+def test_mapping_file_round_trip():
+    table = SymbolTable()
+    zero, hash_, a = (table.intern(c).id for c in ("0", "#", "a"))
+    table.declare_multichar("%^X")
+    spec = [(hash_, [zero, EPSILON_ID]), (a, [table.id_of("%^X")])]
+    text = lookup.format_mapping_file(spec, table)
+    assert text == "%#\t%0\n%#\t0\na\t%^X\n"
+    assert lookup.parse_mapping_file(text, table) == spec
+    assert len(table) == 5  # nothing new was interned
+
+
 def test_empty_pipeline_is_an_error():
     table = SymbolTable()
     ast = lexc.parse_lexc("LEXICON Root\nq # ;\n", table)

@@ -1,0 +1,221 @@
+"""Differential tests of fst.lookup_paths, the walk behind lookup.
+
+The oracle is the composition path lookup used before the walk: compose
+the string acceptor of the word with the whole machine and enumerate the
+result's paths.  With max_count=1 the oracle keeps a different first
+pair than the walk may, so there only the truncated flag is compared.
+"""
+
+import random
+from functools import partial
+
+import pytest
+
+from fstmorph import att, cli, fst, lookup
+from fstmorph.symbols import EPSILON_ID, SymbolTable
+
+from conftest import FIXTURE_DIR
+
+BIG = 10**6
+
+
+def compose_lookup(machine, ids, max_len, max_count):
+    acceptor = fst.string_pair(machine.table, ids, ids)
+    return fst.enumerate_paths(fst.compose(acceptor, machine), max_len,
+                               max_count)
+
+
+def relaxed_compose_lookup(pipeline, ids, max_len, max_count):
+    acceptor = fst.string_pair(pipeline.table, ids, ids)
+    chain = fst.compose(fst.compose(acceptor, fst.invert(pipeline.relax)),
+                        pipeline.analyzer)
+    return fst.enumerate_paths(chain, max_len, max_count)
+
+
+def assert_agree(walk, oracle, ids, what):
+    """walk and oracle: (ids, max_len, max_count) -> PathSet."""
+    for max_len, max_count in ((200, 100), (len(ids), 100), (200, 1)):
+        got = walk(ids, max_len, max_count)
+        want = oracle(ids, max_len, max_count)
+        assert got.truncated == want.truncated, (what, ids, max_count)
+        if max_count > 1:
+            assert got.pairs == want.pairs, (what, ids)
+
+
+def input_strings(machine):
+    paths = fst.enumerate_paths(machine, 60, 5000)
+    assert not paths.truncated
+    return sorted({ins for ins, _ in paths.pairs})
+
+
+def misspellings(pipeline, spec):
+    """Every string made by one relax substitution in one surface."""
+    out = set()
+    for ids in input_strings(pipeline.analyzer):
+        for key, variants in spec:
+            for k, sid in enumerate(ids):
+                if sid != key:
+                    continue
+                for v in variants:
+                    middle = () if v == EPSILON_ID else (v,)
+                    out.add(ids[:k] + middle + ids[k + 1:])
+    return sorted(out)
+
+
+@pytest.fixture(scope="module")
+def relax_spec(fixture_sources, pipeline):
+    return lookup.parse_mapping_file(fixture_sources["relax"], pipeline.table)
+
+
+# ---------------------------------------------------------------------------
+# random machines
+
+
+def random_machine(table, syms, rng):
+    """At most two epsilon-input arcs: the cycle cuts are exercised, and
+    the oracle's enumeration of epsilon runs stays small."""
+    n = rng.randint(1, 5)
+    arcs = [(rng.randrange(n), rng.choice(syms),
+             rng.choice(syms + [EPSILON_ID]), rng.randrange(n))
+            for _ in range(rng.randint(1, 10))]
+    arcs += [(rng.randrange(n), EPSILON_ID, rng.choice(syms + [EPSILON_ID]),
+              rng.randrange(n))
+             for _ in range(rng.randint(0, 2))]
+    finals = {q for q in range(n) if rng.random() < 0.5}
+    return fst._trim(table, n, 0, finals, arcs)
+
+
+def test_walk_matches_oracle_on_random_machines():
+    rng = random.Random(20040)
+    flagged = 0
+    for _ in range(300):
+        table = SymbolTable()
+        syms = [table.intern(c).id for c in "abc"]
+        machine = random_machine(table, syms, rng)
+        for _ in range(3):
+            ids = [rng.choice(syms) for _ in range(rng.randint(0, 3))]
+            for max_len in (10, rng.randint(0, 3)):
+                for max_count in (BIG, 1):
+                    got = fst.lookup_paths(machine, ids, max_len, max_count)
+                    want = compose_lookup(machine, ids, max_len, max_count)
+                    assert got.truncated == want.truncated, \
+                        (machine.arcs, machine.finals, ids, max_len,
+                         max_count)
+                    if max_count == BIG:
+                        assert got.pairs == want.pairs
+                    flagged += got.truncated
+    assert flagged > 100  # the cuts were reached, not just the easy cases
+
+
+def test_walk_bounds():
+    table = SymbolTable()
+    a, b = (table.intern(c).id for c in "ab")
+    # a:b followed by a loop that writes b for ever without reading
+    loop = fst._trim(table, 2, 0, {1},
+                     [(0, a, b, 1), (1, EPSILON_ID, b, 1)])
+    paths = fst.lookup_paths(loop, [a], 10, 100)
+    # the epsilon filter lets the run's first arc come round once more
+    assert paths.pairs == [((a,), (b,)), ((a,), (b, b)), ((a,), (b, b, b))]
+    assert paths.truncated
+    # a word longer than max_len gives nothing and says so
+    word = fst.string_acceptor(table, [a, a, a])
+    assert fst.lookup_paths(word, [a, a, a], 2, 100) == \
+        fst.PathSet([], True)
+    assert fst.lookup_paths(word, [a, a, a], 3, 100) == \
+        fst.PathSet([((a, a, a), (a, a, a))], False)
+    # ... but not when the word has no path at all
+    assert fst.lookup_paths(word, [a, a, b], 2, 100) == fst.PathSet([], False)
+    with pytest.raises(ValueError):
+        fst.lookup_paths(word, [a], 10, 0)
+    with pytest.raises(ValueError):
+        fst.lookup_paths(word, [a, EPSILON_ID], 10, 1)
+
+
+# ---------------------------------------------------------------------------
+# the fixture pipelines
+
+
+@pytest.mark.parametrize("which", ["pipeline", "normative_pipeline"])
+def test_walk_matches_oracle_on_every_path(request, which):
+    pipe = request.getfixturevalue(which)
+    for machine in (pipe.generator, pipe.analyzer):
+        strings = input_strings(machine)
+        assert strings
+        for ids in strings:
+            assert_agree(partial(fst.lookup_paths, machine),
+                         partial(compose_lookup, machine), ids, which)
+
+
+def test_walk_matches_oracle_on_misspellings(pipeline, relax_spec):
+    words = misspellings(pipeline, relax_spec)
+    assert len(words) > 10
+    walk = partial(fst.lookup_paths, pipeline.relaxed_analyzer())
+    for ids in words:
+        assert_agree(walk, partial(relaxed_compose_lookup, pipeline), ids,
+                     "relaxed")
+        assert walk(ids, 200, 100).pairs
+
+
+def test_walk_matches_oracle_on_random_strings(pipeline):
+    rng = random.Random(2009)
+    cases = [
+        (pipeline.generator, partial(compose_lookup, pipeline.generator)),
+        (pipeline.analyzer, partial(compose_lookup, pipeline.analyzer)),
+        (pipeline.relaxed_analyzer(),
+         partial(relaxed_compose_lookup, pipeline)),
+    ]
+    for machine, oracle in cases:
+        alphabet = sorted(machine.input_labels())
+        for _ in range(200):
+            ids = [rng.choice(alphabet) for _ in range(rng.randint(0, 8))]
+            assert_agree(partial(fst.lookup_paths, machine), oracle, ids,
+                         "random")
+
+
+def test_relaxed_analyzer_is_built_once_on_first_need(fixture_sources):
+    pipe = lookup.load_pipeline(
+        fixture_sources["lexc"], fixture_sources["twol"],
+        orthography_text=fixture_sources["orthography"],
+        relax_text=fixture_sources["relax"])
+    assert pipe.analyzer._by_input is None  # the index is lazy as well
+    lookup.analyze(pipe, "algg")
+    assert pipe.analyzer._by_input is not None
+    assert pipe._relaxed_analyzer is None
+    lookup.analyze(pipe, "alg")
+    built = pipe._relaxed_analyzer
+    assert built is not None
+    lookup.analyze(pipe, "kuett")
+    assert pipe._relaxed_analyzer is built
+
+
+# ---------------------------------------------------------------------------
+# artifact-loaded vs in-memory
+
+
+@pytest.fixture(scope="module")
+def loaded_pipeline(tmp_path_factory):
+    out = tmp_path_factory.mktemp("artifacts")
+    args = [str(FIXTURE_DIR / "roots.lexc"), str(FIXTURE_DIR / "affixes.lexc"),
+            "--rules", str(FIXTURE_DIR / "phonology.twol"),
+            "--orthography", str(FIXTURE_DIR / "orthography.tsv"),
+            "--relax", str(FIXTURE_DIR / "relax.tsv")]
+    assert cli.main(["compile", *args, "--out", str(out)]) == 0
+    return cli._load_artifacts(out)
+
+
+def test_artifacts_answer_like_the_in_memory_pipeline(
+        pipeline, loaded_pipeline, relax_spec):
+    mem, disk = pipeline, loaded_pipeline
+    assert att.export_att(disk.relax, disk.table) == \
+        att.export_att(mem.relax, mem.table)
+    for ids in input_strings(mem.generator):
+        analysis = mem.table.render(ids)
+        assert lookup.generate(disk, analysis) == \
+            lookup.generate(mem, analysis)
+    surfaces = input_strings(mem.analyzer) + misspellings(mem, relax_spec)
+    for ids in surfaces:
+        surface = mem.table.render(ids)
+        assert lookup.analyze(disk, surface) == \
+            lookup.analyze(mem, surface), surface
+    assert any(a.relaxed for a in lookup.analyze(disk, "viirdi"))
+
