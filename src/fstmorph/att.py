@@ -27,7 +27,9 @@ def export_att(t: Transducer, table: SymbolTable) -> str:
 
 
 def import_att(text: str, table: SymbolTable) -> Transducer:
-    """Parse AT&T text whose labels must all be in table already."""
+    """Parse AT&T text whose labels must all be in table already, and
+    whose states are numbered 0..n-1 for the n distinct states it names
+    (as export writes them), with state 0 the start."""
     def label(name, lineno):
         if name == EPSILON_TEXT:
             return EPSILON_ID
@@ -38,17 +40,18 @@ def import_att(text: str, table: SymbolTable) -> Transducer:
 
     arcs = []
     finals = set()
-    states = set()
+    first_line = {}  # state -> the line that names it first
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         parts = line.split("\t")
         if len(parts) == 1:
             try:
-                finals.add(int(parts[0]))
+                final = int(parts[0])
             except ValueError:
                 raise ParseError(f"bad final-state line {line!r}", line=lineno)
-            states.add(int(parts[0]))
+            finals.add(final)
+            first_line.setdefault(final, lineno)
         elif len(parts) == 4:
             try:
                 src, dst = int(parts[0]), int(parts[1])
@@ -56,13 +59,19 @@ def import_att(text: str, table: SymbolTable) -> Transducer:
                 raise ParseError(f"bad state number in {line!r}", line=lineno)
             arcs.append((src, label(parts[2], lineno),
                          label(parts[3], lineno), dst))
-            states.update((src, dst))
+            first_line.setdefault(src, lineno)
+            first_line.setdefault(dst, lineno)
         else:
             raise ParseError(f"expected 1 or 4 tab-separated fields: {line!r}",
                              line=lineno)
-    if not states:
+    if not first_line:
         return Transducer(table, 1, 0, frozenset(), ())
-    num = max(states) + 1
+    num = len(first_line)
+    for state, lineno in first_line.items():
+        if not 0 <= state < num:
+            raise ParseError(f"state {state} is outside 0..{num - 1}, the "
+                             f"{num} distinct states the file names",
+                             line=lineno)
     return Transducer(table, num, 0, finals, arcs)
 
 

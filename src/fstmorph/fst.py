@@ -510,10 +510,10 @@ def enumerate_paths(a: Transducer, max_input_len: int, max_count: int) -> PathSe
     stack = [(a.start, (), (), frozenset())]
     while stack:
         state, inp, out, eps_used = stack.pop()
-        if state in a.finals:
+        if state in a.finals and (inp, out) not in found:
             if len(found) >= max_count:
                 truncated = True
-                continue
+                break
             found.add((inp, out))
         for arc in reversed(a.arcs_from(state)):
             _, i, o, d = arc
@@ -531,13 +531,7 @@ def enumerate_paths(a: Transducer, max_input_len: int, max_count: int) -> PathSe
                     continue
                 stack.append((d, inp + (i,), out + ((o,) if o else ()),
                               frozenset()))
-        if len(found) > max_count:
-            truncated = True
-            break
     pairs = sorted(found, key=lambda p: (len(p[0]), p[0], len(p[1]), p[1]))
-    if len(pairs) > max_count:
-        pairs = pairs[:max_count]
-        truncated = True
     return PathSet(pairs, truncated)
 
 
@@ -581,11 +575,12 @@ def lookup_paths(a: Transducer, ids, max_len: int, max_count: int) -> PathSet:
     run of epsilon-input arcs is cut when it repeats an arc (the
     composition's epsilon filter lets the run's first arc come round
     once more); once max_count distinct pairs are found, the next
-    accepting path stops the walk.  A cut sets truncated only if a
-    final state is still reachable past it, as in the trimmed
-    composition.  Both give the same pairs and flag, except that when
-    max_count stops them, each keeps the pairs its own search order
-    found first, and with max_count > 1 the flag can also differ."""
+    accepting path with a pair not yet found stops the walk, while one
+    with a pair already found is passed by.  A cut sets truncated only
+    if a final state is still reachable past it, as in the trimmed
+    composition.  Both give the same flag, and the same pairs unless
+    max_count stops them: then each keeps the pairs its own search
+    order found first."""
     if max_len < 0 or max_count <= 0:
         raise ValueError("enumeration bounds must be positive")
     ids = tuple(ids)
@@ -609,7 +604,7 @@ def lookup_paths(a: Transducer, ids, max_len: int, max_count: int) -> PathSet:
     stack = [(0, a.start, (), False, ())]
     while stack:
         k, q, out, in_run, used = stack.pop()
-        if k == n and q in finals:
+        if k == n and q in finals and out not in found:
             if len(found) >= max_count:
                 truncated = True
                 break

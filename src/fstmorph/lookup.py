@@ -135,8 +135,6 @@ def _restricted_rules(lexicon, ruleset, strategy):
     anywhere) keeps every intermediate automaton lexicon-sized while
     leaving the composed generator unchanged.
     """
-    if strategy not in ("direct", "reversed"):
-        raise FstMorphError(f"bad combination strategy {strategy!r}")
     table = ruleset.table
     stems = fst.minimize(fst.project(lexicon, side="output"))
     by_lex = {}
@@ -156,14 +154,8 @@ def _restricted_rules(lexicon, ruleset, strategy):
             arcs.append((q, pid, pid, q))
     domain = fst._trim(table, stems.num_states, stems.start, stems.finals,
                        arcs)
-    compiled = [twol.compile_rule(r, ruleset) for r in ruleset.rules]
-    if strategy == "reversed" and compiled:
-        acc = fst.reversed_intersect([domain] + compiled)
-    else:
-        acc = domain
-        for r in compiled:
-            acc = fst.minimize(fst.intersect(acc, r))
-    return twol.pairs_to_transducer(acc, table)
+    return twol.pairs_to_transducer(
+        twol.combine_rules(ruleset, strategy, domain), table)
 
 
 def build_pipeline(lexicon_ast: lexc.LexiconAst, ruleset: twol.RuleSet,

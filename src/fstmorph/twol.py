@@ -8,11 +8,18 @@ check_rule is the executable definition of rule semantics and is kept
 independent of the acceptor compiler: it matches context regexes
 directly on the pair string, while compile_rule goes through the
 finite-state algebra.  Their agreement is the module's central test.
+
+compile_rule builds every operator from in_context(X), the strings in
+which some x of X stands where a context holds.  `=>` is generalized
+restriction (Yli-Jyrä & Koskenniemi 2004): a center occurrence marked
+on both sides, minus the marked strings in context, then unmarked (the
+marker arcs become epsilon arcs).  The marker is never interned: the
+table is written out as symbols.tsv, which must not depend on how the
+rules compile.
 """
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass, field
 
@@ -21,6 +28,10 @@ from .errors import ParseError, FstMorphError
 from .symbols import EPSILON_ID, SymbolTable, unescape, nfc
 
 OPERATORS = ("=>", "<=", "<=>", "/<=")
+
+# Marks the center occurrence under test while `=>` is compiled; an id
+# the symbol table never hands out (ids count up from 0, which is epsilon).
+MARKER = -1
 
 
 # ---------------------------------------------------------------------------
@@ -615,94 +626,78 @@ def _regex_to_fst(node, ruleset):
 
 
 def compile_rule(rule: TwolRule, ruleset: RuleSet) -> fst.Transducer:
-    """Acceptor over pair symbols: exactly the strings check_rule accepts."""
+    """Acceptor over pair symbols: exactly the strings check_rule accepts.
+
+    It is the complement of the violations: for `<=`, in_context(the
+    center's lexical side with another surface side); for `/<=`,
+    in_context(center); for `=>`, the unlicensed centers
+    Σ*·M c M·Σ* − in_context(M c M) over the pairs and M = MARKER, with
+    M then unmarked; for `<=>`, the union of `<=`'s and `=>`'s.
+    """
+    if rule.op not in OPERATORS:
+        raise ValueError(f"bad operator {rule.op!r}")
     table = ruleset.table
     alphabet = ruleset.alphabet
     pids = alphabet.pair_ids()
     a, b = rule.center
-    if rule.op in ("=>", "<=>", "/<=") and (a, b) not in alphabet:
-        raise FstMorphError(
-            f"rule {rule.name!r}: center pair is not feasible"
-        )
+    if rule.op != "<=" and (a, b) not in alphabet:
+        raise FstMorphError(f"rule {rule.name!r}: center pair is not feasible")
     pi_star = fst.sigma_star(table, pids)
+    sides = [(fst.concat(pi_star, _regex_to_fst(left, ruleset)),
+              fst.concat(_regex_to_fst(right, ruleset), pi_star))
+             for left, right in rule.contexts]
 
-    prefixes, suffixes = [], []
-    for left, right in rule.contexts:
-        p = fst.determinize(fst.concat(pi_star, _regex_to_fst(left, ruleset)))
-        s = fst.determinize(fst.concat(_regex_to_fst(right, ruleset), pi_star))
-        prefixes.append(p)
-        suffixes.append(s)
-
-    def not_(m):
-        return fst.complement(m, pids)
-
-    def violations_restriction(center_fst):
-        """Strings u·c·v where no context has both sides satisfied."""
-        terms = []
-        k = len(rule.contexts)
-        for choice in itertools.product((False, True), repeat=k):
-            # True: the prefix side fails for that context
-            pre = pi_star
-            for j, pref_fails in enumerate(choice):
-                if pref_fails:
-                    pre = fst.intersect(pre, not_(prefixes[j]))
-            suf = pi_star
-            for j, pref_fails in enumerate(choice):
-                if not pref_fails:
-                    suf = fst.intersect(suf, not_(suffixes[j]))
-            terms.append(fst.concat(fst.concat(pre, center_fst), suf))
+    def in_context(center_fst):
         acc = fst.empty(table)
-        for term in terms:
-            acc = fst.union(acc, term)
+        for pre, suf in sides:
+            acc = fst.union(acc, fst.concat(fst.concat(pre, center_fst), suf))
         return acc
 
-    def violations_coercion(wrong_fst):
-        acc = fst.empty(table)
-        for p, s in zip(prefixes, suffixes):
-            acc = fst.union(acc, fst.concat(fst.concat(p, wrong_fst), s))
-        return acc
-
-    center_pairs = [p for p in alphabet.pairs if p == (a, b)]
-    center_fst = (
-        fst.symbol_set_acceptor(table, [alphabet.pair_id(a, b)])
-        if center_pairs
-        else fst.empty(table)
-    )
-    wrong = [alphabet.pair_id(l, s) for l, s in alphabet.pairs
-             if l == a and s != b]
-    wrong_fst = (fst.symbol_set_acceptor(table, wrong)
-                 if wrong else fst.empty(table))
-
-    if rule.op == "=>":
-        viol = violations_restriction(center_fst)
-    elif rule.op == "<=":
-        viol = violations_coercion(wrong_fst)
-    elif rule.op == "<=>":
-        viol = fst.union(violations_restriction(center_fst),
-                         violations_coercion(wrong_fst))
-    elif rule.op == "/<=":
-        viol = violations_coercion(center_fst)
-    else:
-        raise ValueError(f"bad operator {rule.op!r}")
-
-    return fst.minimize(not_(viol))
+    viol = fst.empty(table)
+    if rule.op in ("=>", "<=>"):
+        marked = fst.string_acceptor(
+            table, [MARKER, alphabet.pair_id(a, b), MARKER])
+        unlicensed = fst.difference(
+            fst.concat(fst.concat(pi_star, marked), pi_star),
+            in_context(marked), pids + [MARKER])
+        viol = fst._trim(table, unlicensed.num_states, unlicensed.start,
+                         unlicensed.finals,
+                         [(src, EPSILON_ID, EPSILON_ID, dst) if i == MARKER
+                          else (src, i, o, dst)
+                          for src, i, o, dst in unlicensed.arcs])
+    if rule.op in ("<=", "<=>"):
+        wrong = [alphabet.pair_id(l, s) for l, s in alphabet.pairs
+                 if l == a and s != b]
+        viol = fst.union(
+            viol, in_context(fst.symbol_set_acceptor(table, wrong)))
+    if rule.op == "/<=":
+        viol = in_context(
+            fst.symbol_set_acceptor(table, [alphabet.pair_id(a, b)]))
+    return fst.minimize(fst.complement(viol, pids))
 
 
-def combine_rules(ruleset: RuleSet, strategy: str = "direct") -> fst.Transducer:
-    """Intersection of all compiled rule acceptors over the pair alphabet."""
+def combine_rules(ruleset: RuleSet, strategy: str = "direct",
+                  domain: fst.Transducer = None) -> fst.Transducer:
+    """Intersection of all compiled rule acceptors over the pair alphabet.
+
+    A domain acceptor over the same pairs, when given, starts the fold,
+    so every intermediate automaton stays domain-sized.  Without one,
+    the result is minimized and warns if the rules contradict."""
     if strategy not in ("direct", "reversed"):
         raise ValueError(f"bad combination strategy {strategy!r}")
-    table = ruleset.table
-    pids = ruleset.alphabet.pair_ids()
-    compiled = [compile_rule(r, ruleset) for r in ruleset.rules]
-    if not compiled:
-        return fst.sigma_star(table, pids)
-    if strategy == "reversed":
-        acc = fst.reversed_intersect(compiled)
+    machines = [compile_rule(r, ruleset) for r in ruleset.rules]
+    if domain is not None:
+        machines.insert(0, domain)
+    if not machines:
+        return fst.sigma_star(ruleset.table, ruleset.alphabet.pair_ids())
+    if strategy == "reversed" and len(machines) > 1:
+        acc = fst.reversed_intersect(machines)
     else:
-        acc = compiled[0]
-        for r in compiled[1:]:
-            acc = fst.minimize(fst.intersect(acc, r))
+        acc = machines[0]
+        for m in machines[1:]:
+            acc = fst.minimize(fst.intersect(acc, m))
+    if domain is not None:
+        return acc
     acc = fst.minimize(acc)
     if fst.is_empty(acc):
         warnings.warn("rule set is contradictory: combined language is empty",

@@ -95,8 +95,9 @@ def random_transducer(table, sym_ids, rng, max_states=4, max_arcs=8,
     return fst._trim(table, n, 0, finals, arcs)
 
 
-def random_ruleset(rng, num_rules=1, num_letters=3):
-    """A small random rule set built directly as an AST."""
+def random_ruleset(rng, num_rules=1, num_letters=3, num_contexts=(1, 2)):
+    """A small random rule set built directly as an AST; each rule has
+    between num_contexts[0] and num_contexts[1] contexts."""
     table = SymbolTable()
     letters = [table.intern(c).id for c in "abcd"[:num_letters]]
     pairs = [(l, l) for l in letters]
@@ -144,7 +145,7 @@ def random_ruleset(rng, num_rules=1, num_letters=3):
         center = rng.choice(non_identity)
         op = rng.choice(("=>", "<=", "<=>", "/<="))
         contexts = [(random_regex(), random_regex())
-                    for _ in range(rng.randint(1, 2))]
+                    for _ in range(rng.randint(*num_contexts))]
         rules.append(twol.TwolRule(f"r{k}", center, op, contexts))
     return twol.RuleSet(alphabet, {}, rules)
 

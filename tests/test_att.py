@@ -55,3 +55,13 @@ def test_import_rejects_unknown_symbols(table):
     assert "ZZZ" not in table  # nothing was interned on the way
     with pytest.raises(ParseError, match="1: "):
         att.import_att("0\t1\ta\t\n1\n", table)  # an empty label
+
+
+@pytest.mark.parametrize("text, line", [
+    ("0\t-1\ta\ta\n-1\n", 1),  # a negative state
+    ("2000000000\n", 1),  # one state, named far past 0
+    ("0\t1\ta\ta\n1\n2000000000\n", 3),
+])
+def test_import_rejects_state_numbers_outside_the_file(table, text, line):
+    with pytest.raises(ParseError, match=f"^{line}: state "):
+        att.import_att(text, table)

@@ -95,6 +95,16 @@ def test_strategies_build_equal_generators(fixture_sources):
     assert rel(reversed_pipe) == rel(direct_pipe)
 
 
+def test_unknown_strategy_is_a_value_error():
+    table = SymbolTable()
+    ast = lexc.parse_lexc("LEXICON Root\na # ;\n", table)
+    ruleset = twol.parse_twol("Alphabet\n a ;\n", table)
+    with pytest.raises(ValueError, match="strategy 'sideways'"):
+        twol.combine_rules(ruleset, "sideways")
+    with pytest.raises(ValueError, match="strategy 'sideways'"):
+        lookup.build_pipeline(ast, ruleset, strategy="sideways")
+
+
 # ---------------------------------------------------------------------------
 # orthography filter and relax transducer in isolation
 

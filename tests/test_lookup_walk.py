@@ -2,8 +2,9 @@
 
 The oracle is the composition path lookup used before the walk: compose
 the string acceptor of the word with the whole machine and enumerate the
-result's paths.  With max_count=1 the oracle keeps a different first
-pair than the walk may, so there only the truncated flag is compared.
+result's paths.  When max_count cuts the result, each keeps the pairs
+its own search order found first, so under a cut only the truncated flag
+is compared.
 """
 
 import random
@@ -95,7 +96,7 @@ def test_walk_matches_oracle_on_random_machines():
         for _ in range(3):
             ids = [rng.choice(syms) for _ in range(rng.randint(0, 3))]
             for max_len in (10, rng.randint(0, 3)):
-                for max_count in (BIG, 1):
+                for max_count in (BIG, 1, 2, 3):
                     got = fst.lookup_paths(machine, ids, max_len, max_count)
                     want = compose_lookup(machine, ids, max_len, max_count)
                     assert got.truncated == want.truncated, \

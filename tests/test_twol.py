@@ -127,11 +127,10 @@ def test_compile_rule_examples():
     assert accepts(machine, [xx, ab])
 
 
-def test_oracle_compiler_agreement_randomized():
-    rng = random.Random(99)
+def assert_compiler_agrees_with_oracle(rng, num_contexts):
     checked = 0
     for _ in range(120):
-        rs = random_ruleset(rng, num_rules=1)
+        rs = random_ruleset(rng, num_rules=1, num_contexts=num_contexts)
         rule = rs.rules[0]
         machine = twol.compile_rule(rule, rs)
         for _ in range(8):
@@ -140,6 +139,22 @@ def test_oracle_compiler_agreement_randomized():
             assert accepts(machine, pids) == twol.check_rule(rule, s, rs)
             checked += 1
     assert checked >= 900
+
+
+def test_oracle_compiler_agreement_randomized():
+    assert_compiler_agrees_with_oracle(random.Random(99), (1, 2))
+
+
+def test_oracle_compiler_agreement_many_contexts():
+    # where `=>` needs most care: every context may fail on either side
+    assert_compiler_agrees_with_oracle(random.Random(2004), (3, 4))
+
+
+def test_compile_rule_rejects_unknown_operator(ruleset):
+    rule = ruleset.rules[0]
+    bad = twol.TwolRule(rule.name, rule.center, "<>", rule.contexts)
+    with pytest.raises(ValueError, match="bad operator"):
+        twol.compile_rule(bad, ruleset)
 
 
 def test_both_directions_equals_intersection():
