@@ -26,17 +26,33 @@ def export_att(t: Transducer, table: SymbolTable) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _number(field):
+    """The int of field if it is ASCII digits after an optional "-" (the
+    caller checks the range), else None.  int() alone would also take
+    "+1", " 1", "1_0" and non-ASCII digits, none of which export writes."""
+    if field.isascii() and (field.isdigit()
+                            or field[:1] == "-" and field[1:].isdigit()):
+        try:
+            return int(field)
+        except ValueError:  # past int()'s limit on digits
+            pass
+    return None
+
+
 def import_att(text: str, table: SymbolTable) -> Transducer:
     """Parse AT&T text whose labels must all be in table already, and
     whose states are numbered 0..n-1 for the n distinct states it names
     (as export writes them), with state 0 the start."""
+    ids = {EPSILON_TEXT: EPSILON_ID}  # each label's id, once looked up
+
     def label(name, lineno):
-        if name == EPSILON_TEXT:
-            return EPSILON_ID
-        if name not in table:
-            raise ParseError(f"symbol {name!r} is not in the symbol table",
-                             line=lineno)
-        return table.id_of(name)
+        sid = ids.get(name)
+        if sid is None:
+            if name not in table:
+                raise ParseError(f"symbol {name!r} is not in the symbol "
+                                 f"table", line=lineno)
+            sid = ids[name] = table.id_of(name)
+        return sid
 
     arcs = []
     finals = set()
@@ -46,16 +62,14 @@ def import_att(text: str, table: SymbolTable) -> Transducer:
             continue
         parts = line.split("\t")
         if len(parts) == 1:
-            try:
-                final = int(parts[0])
-            except ValueError:
+            final = _number(parts[0])
+            if final is None:
                 raise ParseError(f"bad final-state line {line!r}", line=lineno)
             finals.add(final)
             first_line.setdefault(final, lineno)
         elif len(parts) == 4:
-            try:
-                src, dst = int(parts[0]), int(parts[1])
-            except ValueError:
+            src, dst = _number(parts[0]), _number(parts[1])
+            if src is None or dst is None:
                 raise ParseError(f"bad state number in {line!r}", line=lineno)
             arcs.append((src, label(parts[2], lineno),
                          label(parts[3], lineno), dst))
@@ -94,11 +108,16 @@ def import_symbols(text: str) -> SymbolTable:
         parts = line.split("\t")
         if len(parts) != 3:
             raise ParseError(f"bad symbol line {line!r}", line=lineno)
-        sid, sym_text, flag = int(parts[0]), parts[1], parts[2]
+        sid, sym_text, flag = _number(parts[0]), parts[1], parts[2]
+        if sid is None:
+            raise ParseError(f"bad symbol id {parts[0]!r}", line=lineno)
         if flag == "m":
             sym = table.declare_multichar(sym_text)
-        else:
+        elif flag == "-":
             sym = table.intern(sym_text)
+        else:
+            raise ParseError(f"bad multichar flag {flag!r}, expected 'm' or "
+                             f"'-'", line=lineno)
         if sym.id != sid:
             raise ParseError(
                 f"symbol file ids are not dense at line {lineno}", line=lineno

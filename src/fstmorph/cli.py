@@ -94,10 +94,14 @@ def _load_artifacts(artifact_dir):
     rows = {}
     gloss_path = base / GLOSSES_TSV
     if gloss_path.exists():
-        for line in _read(gloss_path).splitlines():
+        for lineno, line in enumerate(_read(gloss_path).splitlines(), 1):
             if not line.strip():
                 continue
-            lemma, pos, gloss = line.split("\t")
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise ParseError(f"expected 3 tab-separated fields: {line!r}",
+                                 filename=str(gloss_path), line=lineno)
+            lemma, pos, gloss = fields
             rows.setdefault((lemma, pos), []).append(gloss)
     manifest = json.loads(_read(base / MANIFEST_JSON))
     relax = None

@@ -4,6 +4,15 @@ Transducers are immutable after construction: every operation returns a
 fresh, trimmed machine with deterministically ordered arcs and BFS state
 numbering, so identical inputs give bit-identical results.  Arc labels
 are symbol ids from one shared SymbolTable; id 0 is epsilon.
+
+A machine carries ``deterministic=True`` only when its construction
+guarantees a trimmed, BFS-numbered DFA: the outputs of determinize,
+minimize, complement and intersect.  determinize returns such a machine
+unchanged, so minimize, complement and intersect skip the subset
+construction on inputs that are already DFAs.  That is exact: the subset
+construction visits a DFA's states from the start in the same BFS order,
+one label at a time in sorted order, as _trim numbered them, so it
+rebuilds the same states, finals and arcs.
 """
 
 from __future__ import annotations
@@ -17,15 +26,17 @@ from .symbols import EPSILON_ID, SymbolTable
 class Transducer:
     """States 0..num_states-1, arcs (src, in, out, dst), one start state."""
 
-    __slots__ = ("table", "num_states", "start", "finals", "arcs", "_adj",
-                 "_by_input")
+    __slots__ = ("table", "num_states", "start", "finals", "arcs",
+                 "deterministic", "_adj", "_by_input")
 
-    def __init__(self, table, num_states, start, finals, arcs):
+    def __init__(self, table, num_states, start, finals, arcs,
+                 deterministic=False):
         self.table = table
         self.num_states = num_states
         self.start = start
         self.finals = frozenset(finals)
         self.arcs = tuple(sorted(arcs))
+        self.deterministic = deterministic
         self._adj = None
         self._by_input = None
         assert start < num_states
@@ -89,56 +100,51 @@ def _require_acceptor(*ts):
             raise NotAnAcceptorError("operation requires an acceptor (in == out)")
 
 
-def _trim(table, num_states, start, finals, arcs):
+def _trim(table, num_states, start, finals, arcs, deterministic=False):
     """Keep states reachable from start and co-reachable to a final,
-    renumber in BFS order from the start state."""
-    fwd = {}
-    for src, _, _, dst in arcs:
-        fwd.setdefault(src, set()).add(dst)
+    renumber in BFS order from the start state, taking each state's arcs
+    in (in, out, dst) order; the arcs come out sorted.  deterministic
+    marks the result as a DFA: set it only where the construction
+    guarantees an acceptor with no epsilon arc and one arc per state and
+    label."""
+    out = {}
+    bwd = {}
+    for a in arcs:
+        out.setdefault(a[0], []).append(a)
+        bwd.setdefault(a[3], []).append(a[0])
     reach = {start}
     stack = [start]
     while stack:
-        s = stack.pop()
-        for d in fwd.get(s, ()):
+        for a in out.get(stack.pop(), ()):
+            d = a[3]
             if d not in reach:
                 reach.add(d)
                 stack.append(d)
-    bwd = {}
-    for src, _, _, dst in arcs:
-        bwd.setdefault(dst, set()).add(src)
     coreach = set(f for f in finals if f in reach)
     stack = list(coreach)
     while stack:
-        s = stack.pop()
-        for p in bwd.get(s, ()):
-            if p in coreach:
-                continue
-            if p in reach:
+        for p in bwd.get(stack.pop(), ()):
+            if p in reach and p not in coreach:
                 coreach.add(p)
                 stack.append(p)
-    keep = reach & coreach
-    if start not in keep:
-        return Transducer(table, 1, 0, frozenset(), ())
-    adj = {}
-    for a in sorted(arcs):
-        if a[0] in keep and a[3] in keep:
-            adj.setdefault(a[0], []).append(a)
+    if start not in coreach:
+        return Transducer(table, 1, 0, frozenset(), (), deterministic)
     order = {start: 0}
     queue = [start]
-    qi = 0
-    while qi < len(queue):
-        s = queue[qi]
-        qi += 1
-        for _, _, _, dst in adj.get(s, ()):
-            if dst not in order:
-                order[dst] = len(order)
-                queue.append(dst)
     new_arcs = []
-    for src, lst in adj.items():
-        for _, i, o, dst in lst:
-            new_arcs.append((order[src], i, o, order[dst]))
-    new_finals = {order[s] for s in finals if s in keep}
-    return Transducer(table, len(order), 0, new_finals, new_arcs)
+    for s in queue:  # grows while it is walked: BFS in new-id order
+        lst = sorted([a for a in out.get(s, ()) if a[3] in coreach])
+        for a in lst:
+            if a[3] not in order:
+                order[a[3]] = len(order)
+                queue.append(a[3])
+        src = order[s]
+        run = [(src, i, o, order[d]) for _, i, o, d in lst]
+        run.sort()
+        new_arcs += run
+    new_finals = {order[s] for s in finals if s in coreach}
+    return Transducer(table, len(order), 0, new_finals, new_arcs,
+                      deterministic)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +325,10 @@ def _eps_closure(t, states):
 
 
 def determinize(a: Transducer) -> Transducer:
-    """Subset construction; acceptors only (epsilon arcs are removed)."""
+    """Subset construction; acceptors only (epsilon arcs are removed).
+    A machine flagged deterministic is returned as it is."""
+    if a.deterministic:
+        return a
     _require_acceptor(a)
     closure_of = [None] * a.num_states  # per-state closure, computed once
 
@@ -356,7 +365,7 @@ def determinize(a: Transducer) -> Transducer:
                 dst = index[nxt] = len(index)
                 queue.append(nxt)
             arcs.append((src, lab, lab, dst))
-    return _trim(a.table, len(index), 0, finals, arcs)
+    return _trim(a.table, len(index), 0, finals, arcs, deterministic=True)
 
 
 def minimize(a: Transducer) -> Transducer:
@@ -421,7 +430,8 @@ def minimize(a: Transducer) -> Transducer:
     final_bs = {block_of[q] for q in d.finals}
     arcs = {(block_of[src], i, i, block_of[dst])
             for src, i, _, dst in d.arcs}
-    return _trim(a.table, len(partition), start_b, final_bs, sorted(arcs))
+    return _trim(a.table, len(partition), start_b, final_bs, arcs,
+                 deterministic=True)
 
 
 def complement(a: Transducer, alphabet) -> Transducer:
@@ -441,7 +451,8 @@ def complement(a: Transducer, alphabet) -> Transducer:
     for lab in alphabet:
         arcs.append((sink, lab, lab, sink))
     finals = {s for s in range(d.num_states + 1) if s not in d.finals}
-    return _trim(d.table, d.num_states + 1, d.start, finals, arcs)
+    return _trim(d.table, d.num_states + 1, d.start, finals, arcs,
+                 deterministic=True)
 
 
 def intersect(a: Transducer, b: Transducer) -> Transducer:
@@ -471,7 +482,7 @@ def intersect(a: Transducer, b: Transducer) -> Transducer:
                 dst = index[key] = len(index)
                 queue.append(key)
             arcs.append((src, i, i, dst))
-    return _trim(a.table, len(index), 0, finals, arcs)
+    return _trim(a.table, len(index), 0, finals, arcs, deterministic=True)
 
 
 def difference(a: Transducer, b: Transducer, alphabet) -> Transducer:

@@ -682,7 +682,8 @@ def combine_rules(ruleset: RuleSet, strategy: str = "direct",
 
     A domain acceptor over the same pairs, when given, starts the fold,
     so every intermediate automaton stays domain-sized.  Without one,
-    the result is minimized and warns if the rules contradict."""
+    the result is minimal and warns if the rules contradict: each direct
+    fold step ends in minimize, and a compiled rule is minimal already."""
     if strategy not in ("direct", "reversed"):
         raise ValueError(f"bad combination strategy {strategy!r}")
     machines = [compile_rule(r, ruleset) for r in ruleset.rules]
@@ -692,13 +693,14 @@ def combine_rules(ruleset: RuleSet, strategy: str = "direct",
         return fst.sigma_star(ruleset.table, ruleset.alphabet.pair_ids())
     if strategy == "reversed" and len(machines) > 1:
         acc = fst.reversed_intersect(machines)
+        if domain is None:
+            acc = fst.minimize(acc)
     else:
         acc = machines[0]
         for m in machines[1:]:
             acc = fst.minimize(fst.intersect(acc, m))
     if domain is not None:
         return acc
-    acc = fst.minimize(acc)
     if fst.is_empty(acc):
         warnings.warn("rule set is contradictory: combined language is empty",
                       stacklevel=2)

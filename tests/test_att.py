@@ -65,3 +65,20 @@ def test_import_rejects_unknown_symbols(table):
 def test_import_rejects_state_numbers_outside_the_file(table, text, line):
     with pytest.raises(ParseError, match=f"^{line}: state "):
         att.import_att(text, table)
+
+
+@pytest.mark.parametrize("number", ["+1", " 1", "1_0", "١"])
+def test_import_takes_state_numbers_only_as_ascii_digits(table, number):
+    # int() takes each of these; export never writes them
+    with pytest.raises(ParseError, match="^1: bad state number"):
+        att.import_att(f"0\t{number}\ta\ta\n1\n", table)
+    with pytest.raises(ParseError, match="^2: bad final-state line"):
+        att.import_att(f"0\t1\ta\ta\n{number}\n", table)
+
+
+def test_import_symbols_rejects_a_bad_id_or_flag(table):
+    text = att.export_symbols(table)
+    with pytest.raises(ParseError, match="^2: bad symbol id"):
+        att.import_symbols(text.replace("2\t", "x\t", 1))
+    with pytest.raises(ParseError, match="^3: bad multichar flag '\\?'"):
+        att.import_symbols(text.replace("\tm", "\t?"))

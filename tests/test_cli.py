@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -58,6 +59,26 @@ def test_compile_deterministic(artifacts, tmp_path):
     for name in ("generator.att", "analyzer.att", "symbols.tsv",
                  "glosses.tsv", "relax.tsv", "manifest.json"):
         assert (again / name).read_bytes() == (artifacts / name).read_bytes()
+
+
+# SHA-256 of the fixture artifacts built with --orthography and --relax;
+# both strategies give these bytes
+ARTIFACT_DIGESTS = {
+    "generator.att":
+        "1e95cc681d4b317e0369fd807fd9bb55eba5e5372294b458380479e3200af4ab",
+    "analyzer.att":
+        "eb08ae9346cfc28053f135ce580e58b67efdb61fde16d42514718d308b5f8254",
+}
+
+
+def test_fixture_artifacts_are_pinned(artifacts, tmp_path):
+    reversed_out = tmp_path / "reversed"
+    assert cli.main(["compile", *full_args(), "--strategy", "reversed",
+                     "--out", str(reversed_out)]) == 0
+    for out in (artifacts, reversed_out):
+        for name, digest in ARTIFACT_DIGESTS.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() \
+                == digest, (out.name, name)
 
 
 def test_lookup_down(artifacts, capsys, monkeypatch):
@@ -158,3 +179,26 @@ def test_import_att_rejects_unknown_symbol(artifacts, tmp_path, capsys):
                      "--symbols", str(artifacts / "symbols.tsv")]) == 2
     err = capsys.readouterr().err
     assert "2: " in err and "ZZZ" in err
+
+
+def test_malformed_glosses_is_usage_error(artifacts, tmp_path, capsys,
+                                          monkeypatch):
+    broken = tmp_path / "broken"
+    broken.mkdir()
+    for p in artifacts.iterdir():
+        (broken / p.name).write_bytes(p.read_bytes())
+    glosses = (broken / "glosses.tsv").read_text(encoding="utf-8")
+    (broken / "glosses.tsv").write_text(glosses + "stray line\n",
+                                        encoding="utf-8")
+    line = len(glosses.splitlines()) + 1
+    assert run(["lookup", str(broken)], "radio\n", monkeypatch) == 2
+    assert f"glosses.tsv:{line}: " in capsys.readouterr().err
+
+
+def test_import_att_rejects_a_signed_state_number(artifacts, tmp_path,
+                                                  capsys):
+    att_file = tmp_path / "bad.att"
+    att_file.write_text("0\t+1\ta\ta\n 1\n", encoding="utf-8")
+    assert cli.main(["import-att", str(att_file),
+                     "--symbols", str(artifacts / "symbols.tsv")]) == 2
+    assert "1: bad state number" in capsys.readouterr().err

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from fstmorph import fst
+from fstmorph import fst, twol
 from fstmorph.errors import NotAnAcceptorError
 from fstmorph.symbols import EPSILON_ID, SymbolTable
 
@@ -218,3 +218,57 @@ def test_accepts_helper_agrees_with_language(table):
         for n in range(4):
             for s in itertools.product(sym_ids, repeat=n):
                 assert accepts(a, list(s)) == (s in lang)
+
+
+# ---------------------------------------------------------------------------
+# the deterministic flag
+
+def flag_is_exact(t):
+    """Does the full subset construction, run on an unflagged copy of a
+    flagged machine, give back exactly that machine?"""
+    copy = fst.Transducer(t.table, t.num_states, t.start, t.finals, t.arcs)
+    d = fst.determinize(copy)
+    return (d.num_states, d.start, d.finals, d.arcs) == \
+        (t.num_states, t.start, t.finals, t.arcs)
+
+
+def flagged_outputs(a, b, alphabet):
+    outs = [fst.determinize(a), fst.minimize(a), fst.complement(a, alphabet),
+            fst.intersect(a, b)]
+    outs.append(fst.minimize(fst.intersect(outs[1], fst.minimize(b))))
+    outs.append(fst.complement(outs[2], alphabet))
+    return outs
+
+
+def test_flag_marks_exactly_what_determinize_would_build(table):
+    sym_ids = ids(table, "abc")
+    rng = random.Random(29)
+    for _ in range(200):
+        a = random_acceptor(table, sym_ids, rng, max_states=7, max_arcs=16)
+        b = random_acceptor(table, sym_ids, rng, max_states=7, max_arcs=16)
+        assert not a.deterministic
+        for t in flagged_outputs(a, b, sym_ids):
+            assert t.deterministic
+            assert flag_is_exact(t)
+            assert fst.determinize(t) is t
+
+
+def test_flag_is_exact_on_the_fixture_rules(fixture_parsed):
+    _, _, ruleset = fixture_parsed
+    pids = ruleset.alphabet.pair_ids()
+    rules = [twol.compile_rule(r, ruleset) for r in ruleset.rules]
+    assert len(rules) == 20
+    for r, nxt in zip(rules, rules[1:] + rules[:1]):
+        for t in [r] + flagged_outputs(r, nxt, pids):
+            assert t.deterministic
+            assert flag_is_exact(t)
+
+
+def test_flag_check_catches_a_machine_flagged_wrongly(table):
+    a, b = ids(table, "ab")
+    nondeterministic = fst.Transducer(
+        table, 2, 0, {1}, [(0, a, a, 0), (0, a, a, 1)], deterministic=True)
+    not_bfs_numbered = fst.Transducer(
+        table, 3, 0, {1}, [(0, a, a, 2), (2, b, b, 1)], deterministic=True)
+    for t in (nondeterministic, not_bfs_numbered):
+        assert not flag_is_exact(t)
