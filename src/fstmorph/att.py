@@ -27,11 +27,13 @@ def export_att(t: Transducer, table: SymbolTable) -> str:
 
 
 def _number(field):
-    """The int of field if it is ASCII digits after an optional "-" (the
-    caller checks the range), else None.  int() alone would also take
-    "+1", " 1", "1_0" and non-ASCII digits, none of which export writes."""
-    if field.isascii() and (field.isdigit()
-                            or field[:1] == "-" and field[1:].isdigit()):
+    """The int of field if it is ASCII digits after an optional "-", with
+    no leading zero (the caller checks the range), else None.  int()
+    alone would also take "+1", " 1", "1_0", "01" and non-ASCII digits,
+    none of which export writes."""
+    digits = field.removeprefix("-")
+    if digits.isdigit() and digits.isascii() and (digits[0] != "0"
+                                                  or field == "0"):
         try:
             return int(field)
         except ValueError:  # past int()'s limit on digits

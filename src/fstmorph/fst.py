@@ -9,10 +9,22 @@ A machine carries ``deterministic=True`` only when its construction
 guarantees a trimmed, BFS-numbered DFA: the outputs of determinize,
 minimize, complement and intersect.  determinize returns such a machine
 unchanged, so minimize, complement and intersect skip the subset
-construction on inputs that are already DFAs.  That is exact: the subset
-construction visits a DFA's states from the start in the same BFS order,
+construction on inputs that are already DFAs.  That is exact: every
+state of a trimmed DFA is important (see determinize), and the subset
+construction visits its states from the start in the same BFS order,
 one label at a time in sorted order, as _trim numbered them, so it
 rebuilds the same states, finals and arcs.
+
+determinize keys each subset on its important states only: the finals
+and the states with a non-epsilon arc.  Two subsets that differ only in
+pure-epsilon states have the same futures and the same finality, so
+merging them loses nothing, and it makes Brzozowski's theorem hold
+exactly: determinize(reverse(d)) of an accessible DFA d is minimal.
+
+minimize refines the partition of the partial DFA, with no sink state.
+A missing arc then counts in no predecessor set, so the final and the
+nonfinal block each split states the other cannot, and both start in
+Hopcroft's work set.
 """
 
 from __future__ import annotations
@@ -326,10 +338,16 @@ def _eps_closure(t, states):
 
 def determinize(a: Transducer) -> Transducer:
     """Subset construction; acceptors only (epsilon arcs are removed).
-    A machine flagged deterministic is returned as it is."""
+    A machine flagged deterministic is returned as it is.
+
+    Each subset holds only the important states of its epsilon closure
+    (finals and states with a non-epsilon arc): the others add no arc
+    and no finality, and keeping them would split equivalent subsets."""
     if a.deterministic:
         return a
     _require_acceptor(a)
+    important = set(a.finals)
+    important.update(s for s, i, _, _ in a.arcs if i != EPSILON_ID)
     closure_of = [None] * a.num_states  # per-state closure, computed once
 
     def closure(states):
@@ -337,7 +355,7 @@ def determinize(a: Transducer) -> Transducer:
         for s in states:
             c = closure_of[s]
             if c is None:
-                c = closure_of[s] = _eps_closure(a, {s})
+                c = closure_of[s] = _eps_closure(a, {s}) & important
             out |= c
         return frozenset(out)
 
@@ -369,69 +387,51 @@ def determinize(a: Transducer) -> Transducer:
 
 
 def minimize(a: Transducer) -> Transducer:
-    """Hopcroft partition refinement on the determinized acceptor."""
+    """Hopcroft partition refinement on the determinized acceptor, over
+    its partial transition function (Valmari & Lehtinen 2008): no sink
+    state, and predecessors are read from the arcs.  A state with no
+    arc on a label is in no predecessor set, so neither initial block
+    is implied by the other: both start in the work set.  A split
+    block keeps the larger part and the smaller one is queued; if the
+    block was queued already, both parts are now."""
     _require_acceptor(a)
     d = determinize(a)
-    if d.num_states == 0:
-        return d
-    # Complete with a sink so partial transitions refine correctly.
-    sink = d.num_states
-    n = sink + 1
-    syms = sorted({i for _, i, _, _ in d.arcs})
-    delta = [dict() for _ in range(n)]
+    preds = [[] for _ in range(d.num_states)]
     for src, i, _, dst in d.arcs:
-        delta[src][i] = dst
-    inverse = {c: [[] for _ in range(n)] for c in syms}
-    for q in range(n):
-        for c in syms:
-            inverse[c][delta[q].get(c, sink)].append(q)
-
+        preds[dst].append((i, src))
     finals = set(d.finals)
-    nonfinals = set(range(n)) - finals
+    nonfinals = set(range(d.num_states)) - finals
     partition = [s for s in (finals, nonfinals) if s]
-    block_of = [0] * n
+    block_of = [0] * d.num_states
     for b, block in enumerate(partition):
         for q in block:
             block_of[q] = b
-    work = {min(range(len(partition)), key=lambda b: len(partition[b]))} \
-        if len(partition) > 1 else set(range(len(partition)))
+    work = set(range(len(partition)))
     while work:
-        a_idx = work.pop()
-        splitter = list(partition[a_idx])
-        for c in syms:
-            pred = set()
-            for q in splitter:
-                pred.update(inverse[c][q])
+        by_label = {}
+        for q in partition[work.pop()]:
+            for c, p in preds[q]:
+                by_label.setdefault(c, []).append(p)
+        for hits in by_label.values():
             touched = {}
-            for q in pred:
-                touched.setdefault(block_of[q], set()).add(q)
+            for p in hits:
+                touched.setdefault(block_of[p], set()).add(p)
             for b, hit in touched.items():
                 if len(hit) == len(partition[b]):
                     continue
                 rest = partition[b] - hit
+                small, partition[b] = (hit, rest) if len(hit) <= len(rest) \
+                    else (rest, hit)
                 new_idx = len(partition)
-                if len(hit) <= len(rest):
-                    partition[b] = rest
-                    partition.append(hit)
-                    moved = hit
-                else:
-                    partition[b] = hit
-                    partition.append(rest)
-                    moved = rest
-                for q in moved:
+                partition.append(small)
+                for q in small:
                     block_of[q] = new_idx
-                if b in work:
-                    work.add(new_idx)
-                else:
-                    work.add(new_idx if len(partition[new_idx])
-                             <= len(partition[b]) else b)
+                work.add(new_idx)
 
-    start_b = block_of[d.start]
-    final_bs = {block_of[q] for q in d.finals}
     arcs = {(block_of[src], i, i, block_of[dst])
             for src, i, _, dst in d.arcs}
-    return _trim(a.table, len(partition), start_b, final_bs, arcs,
-                 deterministic=True)
+    return _trim(a.table, len(partition), block_of[d.start],
+                 {block_of[q] for q in d.finals}, arcs, deterministic=True)
 
 
 def complement(a: Transducer, alphabet) -> Transducer:
@@ -487,23 +487,6 @@ def intersect(a: Transducer, b: Transducer) -> Transducer:
 
 def difference(a: Transducer, b: Transducer, alphabet) -> Transducer:
     return intersect(a, complement(b, alphabet))
-
-
-def reversed_intersect(rules) -> Transducer:
-    """Intersect rule acceptors in the reversed domain.
-
-    Language-equal to folding intersect directly; kept as a distinct code
-    path because right-to-left determinization of rule automata tends to
-    keep intermediate results smaller.
-    """
-    rules = list(rules)
-    if not rules:
-        raise ValueError("reversed_intersect needs at least one acceptor")
-    _require_acceptor(*rules)
-    acc = determinize(reverse(rules[0]))
-    for r in rules[1:]:
-        acc = minimize(intersect(acc, determinize(reverse(r))))
-    return determinize(reverse(acc))
 
 
 # ---------------------------------------------------------------------------

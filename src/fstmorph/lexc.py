@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from . import fst
 from .errors import ParseError
-from .symbols import SymbolTable
+from .symbols import SymbolTable, strip_comment
 
 END = "#"
 
@@ -56,22 +56,6 @@ class GlossTable:
         return self.rows.get((lemma, pos), [])
 
 
-def _strip_comment(line):
-    out = []
-    i = 0
-    while i < len(line):
-        ch = line[i]
-        if ch == "%" and i + 1 < len(line):
-            out.append(line[i : i + 2])
-            i += 2
-            continue
-        if ch == "!":
-            break
-        out.append(ch)
-        i += 1
-    return "".join(out)
-
-
 def _split_fields(line, lineno, filename):
     """Whitespace-split honoring '%' escapes and one quoted gloss."""
     fields = []
@@ -92,6 +76,8 @@ def _split_fields(line, lineno, filename):
             if gloss is not None:
                 raise ParseError("more than one gloss on entry", filename, lineno)
             gloss = line[i + 1 : j]
+            if "\t" in gloss:  # glosses.tsv is tab-separated
+                raise ParseError("tab in gloss", filename, lineno)
             i = j + 1
             continue
         j = i
@@ -171,7 +157,7 @@ def parse_lexc(source: str, table: SymbolTable = None,
         )
 
     for lineno, raw in enumerate(source.splitlines(), 1):
-        line = _strip_comment(raw)
+        line = strip_comment(raw)
         if not line.strip():
             continue
         fields, gloss = _split_fields(line, lineno, filename)

@@ -43,6 +43,19 @@ def _scan(text: str) -> list[tuple[str, bool]]:
     return out
 
 
+def strip_comment(line: str) -> str:
+    """The line up to its first unescaped '!', escapes kept as written."""
+    i = 0
+    while i < len(line):
+        if line[i] == "%":
+            i += 2
+        elif line[i] == "!":
+            return line[:i]
+        else:
+            i += 1
+    return line
+
+
 @dataclass(frozen=True)
 class Symbol:
     id: int

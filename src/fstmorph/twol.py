@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from . import fst
 from .errors import ParseError, FstMorphError
-from .symbols import EPSILON_ID, SymbolTable, unescape, nfc
+from .symbols import EPSILON_ID, SymbolTable, nfc, strip_comment, unescape
 
 OPERATORS = ("=>", "<=", "<=>", "/<=")
 
@@ -128,22 +128,6 @@ class RuleSet:
 _SPECIALS = set("()|*+?_;\"")
 
 
-def _strip_comments(line):
-    out = []
-    i = 0
-    while i < len(line):
-        ch = line[i]
-        if ch == "%" and i + 1 < len(line):
-            out.append(line[i : i + 2])
-            i += 2
-            continue
-        if ch == "!":
-            break
-        out.append(ch)
-        i += 1
-    return "".join(out)
-
-
 @dataclass(frozen=True)
 class _Tok:
     text: str
@@ -155,7 +139,7 @@ class _Tok:
 def _lex(source):
     toks = []
     for lineno, raw in enumerate(source.splitlines(), 1):
-        line = _strip_comments(raw)
+        line = strip_comment(raw)
         i = 0
         prev_end = -2  # nothing glues across line starts
         while i < len(line):
@@ -681,9 +665,13 @@ def combine_rules(ruleset: RuleSet, strategy: str = "direct",
     """Intersection of all compiled rule acceptors over the pair alphabet.
 
     A domain acceptor over the same pairs, when given, starts the fold,
-    so every intermediate automaton stays domain-sized.  Without one,
-    the result is minimal and warns if the rules contradict: each direct
-    fold step ends in minimize, and a compiled rule is minimal already."""
+    so every intermediate automaton stays domain-sized.  The fold ends
+    each step in minimize, and a compiled rule is minimal already, so
+    the result of more than one machine is minimal.  `reversed` folds
+    the reversed machines and reverses the result back: by Brzozowski's
+    theorem, determinize(reverse(d)) of an accessible DFA d is minimal,
+    so both strategies give the same machine.  Without a domain, warns
+    if the rules contradict."""
     if strategy not in ("direct", "reversed"):
         raise ValueError(f"bad combination strategy {strategy!r}")
     machines = [compile_rule(r, ruleset) for r in ruleset.rules]
@@ -691,17 +679,19 @@ def combine_rules(ruleset: RuleSet, strategy: str = "direct",
         machines.insert(0, domain)
     if not machines:
         return fst.sigma_star(ruleset.table, ruleset.alphabet.pair_ids())
-    if strategy == "reversed" and len(machines) > 1:
-        acc = fst.reversed_intersect(machines)
-        if domain is None:
-            acc = fst.minimize(acc)
-    else:
-        acc = machines[0]
-        for m in machines[1:]:
+
+    def fold(ms):
+        acc = ms[0]
+        for m in ms[1:]:
             acc = fst.minimize(fst.intersect(acc, m))
-    if domain is not None:
         return acc
-    if fst.is_empty(acc):
+
+    if strategy == "reversed" and len(machines) > 1:
+        acc = fst.determinize(
+            fst.reverse(fold([fst.reverse(m) for m in machines])))
+    else:
+        acc = fold(machines)
+    if domain is None and fst.is_empty(acc):
         warnings.warn("rule set is contradictory: combined language is empty",
                       stacklevel=2)
     return acc

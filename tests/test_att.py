@@ -67,7 +67,8 @@ def test_import_rejects_state_numbers_outside_the_file(table, text, line):
         att.import_att(text, table)
 
 
-@pytest.mark.parametrize("number", ["+1", " 1", "1_0", "١"])
+@pytest.mark.parametrize("number", ["+1", " 1", "1_0", "١",
+                                    "01", "00", "-01", "-0"])
 def test_import_takes_state_numbers_only_as_ascii_digits(table, number):
     # int() takes each of these; export never writes them
     with pytest.raises(ParseError, match="^1: bad state number"):
@@ -80,5 +81,7 @@ def test_import_symbols_rejects_a_bad_id_or_flag(table):
     text = att.export_symbols(table)
     with pytest.raises(ParseError, match="^2: bad symbol id"):
         att.import_symbols(text.replace("2\t", "x\t", 1))
+    with pytest.raises(ParseError, match="^2: bad symbol id '01'"):
+        att.import_symbols(text.replace("2\t", "01\t", 1))
     with pytest.raises(ParseError, match="^3: bad multichar flag '\\?'"):
         att.import_symbols(text.replace("\tm", "\t?"))

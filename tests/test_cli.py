@@ -154,6 +154,23 @@ def test_parse_error_is_usage_error(tmp_path, capsys):
     assert "UNDEFINED" in capsys.readouterr().err
 
 
+def test_tab_in_gloss_fails_compile_before_writing(tmp_path, capsys):
+    roots = (FIXTURE_DIR / "roots.lexc").read_text(encoding="utf-8")
+    assert '"flow, stream"' in roots
+    broken = tmp_path / "roots.lexc"
+    broken.write_text(roots.replace('"flow, stream"', '"flow,\tstream"'),
+                      encoding="utf-8")
+    out = tmp_path / "o"
+    code = cli.main(["compile", str(broken),
+                     str(FIXTURE_DIR / "affixes.lexc"),
+                     "--rules", str(FIXTURE_DIR / "phonology.twol"),
+                     "--out", str(out)])
+    assert code == 2
+    line = roots[:roots.index('"flow, stream"')].count("\n") + 1
+    assert f"{line}: tab in gloss" in capsys.readouterr().err
+    assert not (out / "glosses.tsv").exists()
+
+
 def test_stats_matches_library(capsys, fixture_parsed, pipeline):
     assert cli.main(["stats", *full_args()]) == 0
     out = capsys.readouterr().out

@@ -78,6 +78,12 @@ def test_unterminated_gloss():
         lexc.parse_lexc('LEXICON Root\nfoo # "no end ;\n')
 
 
+def test_tab_in_gloss_is_located():
+    # glosses.tsv is tab-separated, so a gloss cannot hold a tab
+    with pytest.raises(ParseError, match="2: tab in gloss"):
+        lexc.parse_lexc('LEXICON Root\nfoo # "flow,\tstream" ;\n')
+
+
 def test_unterminated_entry():
     with pytest.raises(ParseError, match="';'"):
         lexc.parse_lexc("LEXICON Root\nfoo #\n")
