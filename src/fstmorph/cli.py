@@ -38,8 +38,7 @@ def _read(path):
 
 def _build(args):
     table = SymbolTable()
-    source = "\n".join(_read(p) for p in args.lexicon)
-    ast = lexc.parse_lexc(source, table)
+    ast = lexc.parse_lexc([(p, _read(p)) for p in args.lexicon], table)
     ruleset = twol.parse_twol(_read(args.rules), table, filename=args.rules)
     orthography = None
     if args.orthography:
@@ -109,9 +108,8 @@ def _load_artifacts(artifact_dir):
         spec = lookup.parse_mapping_file(
             _read(base / RELAX_TSV), table, str(base / RELAX_TSV))
         relax = lookup.build_relax(table, spec, analyzer.input_labels())
-    return lookup.Pipeline(
-        table, None, None, generator, analyzer, manifest.get("mode"),
-        relax, lexc.GlossTable(rows))
+    return lookup.Pipeline(table, generator, analyzer, manifest.get("mode"),
+                           relax, lexc.GlossTable(rows))
 
 
 def cmd_lookup(args):

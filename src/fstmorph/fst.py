@@ -25,6 +25,18 @@ minimize refines the partition of the partial DFA, with no sink state.
 A missing arc then counts in no predecessor set, so the final and the
 nonfinal block each split states the other cannot, and both start in
 Hopcroft's work set.
+
+Every construction that explores its states lazily from a start key
+goes through _explore: determinize (subsets), intersect (DFA state
+pairs), compose (state pairs with an epsilon-filter state) and
+complement (DFA states and a sink).  Each gives only expand(key), the
+key's finality and moves; _explore numbers the keys and trims.
+
+_trim walks forward once.  It marks the states co-reachable over all
+arcs, then renumbers by BFS from the start along arcs into marked
+states only.  Every state on a path from the start to a final is
+co-reachable, so that BFS reaches exactly the reachable and
+co-reachable states, with no separate reachability walk.
 """
 
 from __future__ import annotations
@@ -113,35 +125,24 @@ def _require_acceptor(*ts):
 
 
 def _trim(table, num_states, start, finals, arcs, deterministic=False):
-    """Keep states reachable from start and co-reachable to a final,
-    renumber in BFS order from the start state, taking each state's arcs
-    in (in, out, dst) order; the arcs come out sorted.  deterministic
-    marks the result as a DFA: set it only where the construction
-    guarantees an acceptor with no epsilon arc and one arc per state and
-    label."""
+    """Keep the states on some path from start to a final, renumbered in
+    BFS order from the start state, taking each state's arcs in (in,
+    out, dst) order; the arcs come out sorted.  deterministic marks the
+    result as a DFA: set it only where the construction guarantees an
+    acceptor with no epsilon arc and one arc per state and label."""
     out = {}
     bwd = {}
     for a in arcs:
         out.setdefault(a[0], []).append(a)
         bwd.setdefault(a[3], []).append(a[0])
-    reach = {start}
-    stack = [start]
-    while stack:
-        for a in out.get(stack.pop(), ()):
-            d = a[3]
-            if d not in reach:
-                reach.add(d)
-                stack.append(d)
-    coreach = set(f for f in finals if f in reach)
+    coreach = set(finals)
     stack = list(coreach)
     while stack:
         for p in bwd.get(stack.pop(), ()):
-            if p in reach and p not in coreach:
+            if p not in coreach:
                 coreach.add(p)
                 stack.append(p)
-    if start not in coreach:
-        return Transducer(table, 1, 0, frozenset(), (), deterministic)
-    order = {start: 0}
+    order = {start: 0}  # alone if it reaches no final: the empty machine
     queue = [start]
     new_arcs = []
     for s in queue:  # grows while it is walked: BFS in new-id order
@@ -154,9 +155,31 @@ def _trim(table, num_states, start, finals, arcs, deterministic=False):
         run = [(src, i, o, order[d]) for _, i, o, d in lst]
         run.sort()
         new_arcs += run
-    new_finals = {order[s] for s in finals if s in coreach}
+    new_finals = {order[s] for s in finals if s in order}
     return Transducer(table, len(order), 0, new_finals, new_arcs,
                       deterministic)
+
+
+def _explore(table, start, expand, deterministic=False):
+    """The trimmed machine whose states are the keys reachable from
+    start.  expand(key) gives (is_final, [(in, out, next key), ...]);
+    each key is numbered when first met, start as 0, and expanded once,
+    its arcs kept in the order expand lists them."""
+    index = {start: 0}
+    queue = [start]
+    arcs = []
+    finals = set()
+    for src, key in enumerate(queue):  # grows while it is walked
+        is_final, moves = expand(key)
+        if is_final:
+            finals.add(src)
+        for i, o, nxt in moves:
+            dst = index.get(nxt)
+            if dst is None:
+                dst = index[nxt] = len(queue)
+                queue.append(nxt)
+            arcs.append((src, i, o, dst))
+    return _trim(table, len(queue), 0, finals, arcs, deterministic)
 
 
 # ---------------------------------------------------------------------------
@@ -280,44 +303,28 @@ def compose(a: Transducer, b: Transducer) -> Transducer:
     _check_tables(a, b)
     b_by_input = b.input_index()
 
-    start = (a.start, b.start, 0)
-    index = {start: 0}
-    queue = [start]
-    arcs = []
-    finals = set()
-    qi = 0
-    while qi < len(queue):
-        s1, s2, f = queue[qi]
-        src = index[(s1, s2, f)]
-        qi += 1
-        if s1 in a.finals and s2 in b.finals:
-            finals.add(src)
-
-        def add(i, o, dst_key):
-            dst = index.get(dst_key)
-            if dst is None:
-                dst = index[dst_key] = len(index)
-                queue.append(dst_key)
-            arcs.append((src, i, o, dst))
-
+    def expand(key):
+        s1, s2, f = key
+        moves = []
         for _, i1, o1, d1 in a.arcs_from(s1):
             if o1 != EPSILON_ID:
                 for _, _, o2, d2 in b_by_input.get((s2, o1), ()):
-                    add(i1, o2, (d1, d2, 0))
+                    moves.append((i1, o2, (d1, d2, 0)))
             else:
                 # a moves alone on epsilon output: filter 0 or 1 -> 1
                 if f in (0, 1):
-                    add(i1, EPSILON_ID, (d1, s2, 1))
+                    moves.append((i1, EPSILON_ID, (d1, s2, 1)))
                 # both move on epsilon: only from filter 0
                 if f == 0:
                     for _, _, o2, d2 in b_by_input.get((s2, EPSILON_ID), ()):
-                        add(i1, o2, (d1, d2, 0))
+                        moves.append((i1, o2, (d1, d2, 0)))
         # b moves alone on epsilon input: filter 0 or 2 -> 2
         if f in (0, 2):
             for _, _, o2, d2 in b_by_input.get((s2, EPSILON_ID), ()):
-                add(EPSILON_ID, o2, (s1, d2, 2))
+                moves.append((EPSILON_ID, o2, (s1, d2, 2)))
+        return s1 in a.finals and s2 in b.finals, moves
 
-    return _trim(a.table, len(index), 0, finals, arcs)
+    return _explore(a.table, (a.start, b.start, 0), expand)
 
 
 # ---------------------------------------------------------------------------
@@ -359,31 +366,16 @@ def determinize(a: Transducer) -> Transducer:
             out |= c
         return frozenset(out)
 
-    start = closure({a.start})
-    index = {start: 0}
-    queue = [start]
-    arcs = []
-    finals = set()
-    qi = 0
-    while qi < len(queue):
-        cur = queue[qi]
-        src = index[cur]
-        qi += 1
-        if cur & a.finals:
-            finals.add(src)
+    def expand(cur):
         moves = {}
         for s in cur:
             for _, i, _, d in a.arcs_from(s):
                 if i != EPSILON_ID:
                     moves.setdefault(i, set()).add(d)
-        for lab in sorted(moves):
-            nxt = closure(moves[lab])
-            dst = index.get(nxt)
-            if dst is None:
-                dst = index[nxt] = len(index)
-                queue.append(nxt)
-            arcs.append((src, lab, lab, dst))
-    return _trim(a.table, len(index), 0, finals, arcs, deterministic=True)
+        return (bool(cur & a.finals),
+                [(lab, lab, closure(moves[lab])) for lab in sorted(moves)])
+
+    return _explore(a.table, closure({a.start}), expand, deterministic=True)
 
 
 def minimize(a: Transducer) -> Transducer:
@@ -435,54 +427,36 @@ def minimize(a: Transducer) -> Transducer:
 
 
 def complement(a: Transducer, alphabet) -> Transducer:
-    """Sigma* minus L(a), relative to an explicit closed alphabet."""
+    """Sigma* minus L(a), relative to an explicit closed alphabet: arcs
+    of a on labels outside it are never followed."""
     _require_acceptor(a)
     alphabet = sorted(set(alphabet))
     if EPSILON_ID in alphabet:
         raise ValueError("epsilon cannot be a complement alphabet member")
     d = determinize(a)
-    sink = d.num_states
-    arcs = list(d.arcs)
-    have = {(s, i) for s, i, _, _ in d.arcs}
-    for s in range(d.num_states):
-        for lab in alphabet:
-            if (s, lab) not in have:
-                arcs.append((s, lab, lab, sink))
-    for lab in alphabet:
-        arcs.append((sink, lab, lab, sink))
-    finals = {s for s in range(d.num_states + 1) if s not in d.finals}
-    return _trim(d.table, d.num_states + 1, d.start, finals, arcs,
-                 deterministic=True)
+    sink = d.num_states  # a key that no state of d has
+
+    def expand(q):
+        step = {} if q == sink else {i: t for _, i, _, t in d.arcs_from(q)}
+        return (q not in d.finals,
+                [(lab, lab, step.get(lab, sink)) for lab in alphabet])
+
+    return _explore(d.table, d.start, expand, deterministic=True)
 
 
 def intersect(a: Transducer, b: Transducer) -> Transducer:
     _check_tables(a, b)
     _require_acceptor(a, b)
     da, db = determinize(a), determinize(b)
-    start = (da.start, db.start)
-    index = {start: 0}
-    queue = [start]
-    arcs = []
-    finals = set()
-    qi = 0
-    while qi < len(queue):
-        s1, s2 = queue[qi]
-        src = index[(s1, s2)]
-        qi += 1
-        if s1 in da.finals and s2 in db.finals:
-            finals.add(src)
-        moves2 = {i: d for _, i, _, d in db.arcs_from(s2)}
-        for _, i, _, d1 in da.arcs_from(s1):
-            d2 = moves2.get(i)
-            if d2 is None:
-                continue
-            key = (d1, d2)
-            dst = index.get(key)
-            if dst is None:
-                dst = index[key] = len(index)
-                queue.append(key)
-            arcs.append((src, i, i, dst))
-    return _trim(a.table, len(index), 0, finals, arcs, deterministic=True)
+
+    def expand(key):
+        s1, s2 = key
+        step2 = {i: t for _, i, _, t in db.arcs_from(s2)}
+        return (s1 in da.finals and s2 in db.finals,
+                [(i, i, (t1, step2[i])) for _, i, _, t1 in da.arcs_from(s1)
+                 if i in step2])
+
+    return _explore(a.table, (da.start, db.start), expand, deterministic=True)
 
 
 def difference(a: Transducer, b: Transducer, alphabet) -> Transducer:

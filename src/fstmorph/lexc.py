@@ -9,8 +9,9 @@ Grammar:
 
 '!' starts a comment to end of line, '%' escapes the next code point,
 "#" is the end-of-word continuation, a lone "0" field is epsilon.
-Several files compiled together share one namespace: concatenate their
-sources in order.
+Several files compiled together share one namespace: parse them as one
+list of (filename, text) sources, read in order as if concatenated,
+with each error located in its own file.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ class LexEntry:
     line: int = 0
     analysis_text: str = ""
     surface_text: str = None  # None when no ':' was given
+    filename: str = None  # the source that line counts in
 
 
 @dataclass
@@ -97,7 +99,7 @@ def _split_fields(line, lineno, filename):
     return fields, gloss
 
 
-def _split_entry_pair(text, lineno, filename):
+def _split_entry_pair(text):
     """Split analysis:surface at the first unescaped ':'."""
     i = 0
     while i < len(text):
@@ -110,8 +112,12 @@ def _split_entry_pair(text, lineno, filename):
     return text, None
 
 
-def parse_lexc(source: str, table: SymbolTable = None,
+def parse_lexc(source, table: SymbolTable = None,
                filename: str = None) -> LexiconAst:
+    """Parse one source text named filename, or a list of (filename,
+    text) sources that share one namespace: the parse runs on from one
+    source into the next, and line numbers count within each source."""
+    sources = [(filename, source)] if isinstance(source, str) else source
     if table is None:
         table = SymbolTable()
     multichar_decls = []
@@ -121,6 +127,7 @@ def parse_lexc(source: str, table: SymbolTable = None,
     pending = []  # raw entry fields awaiting ';' (entries may span lines)
     pending_gloss = None
     pending_line = 0
+    pending_file = None
 
     def flush_entry():
         nonlocal pending, pending_gloss
@@ -129,17 +136,17 @@ def parse_lexc(source: str, table: SymbolTable = None,
         pending = []
         pending_gloss = None
         if not fields:
-            raise ParseError("empty entry", filename, pending_line)
+            raise ParseError("empty entry", pending_file, pending_line)
         if current is None:
-            raise ParseError("entry outside any LEXICON", filename, pending_line)
+            raise ParseError("entry outside any LEXICON", pending_file,
+                             pending_line)
         contlex = fields[-1]
         if len(fields) > 2:
             raise ParseError(
                 f"too many fields in entry: {' '.join(fields)!r}",
-                filename, pending_line)
+                pending_file, pending_line)
         if len(fields) == 2:
-            ana_txt, sur_txt = _split_entry_pair(fields[0], pending_line,
-                                                 filename)
+            ana_txt, sur_txt = _split_entry_pair(fields[0])
         else:
             ana_txt, sur_txt = "", None
         analysis = table.tokenize(ana_txt) if ana_txt else []
@@ -153,10 +160,13 @@ def parse_lexc(source: str, table: SymbolTable = None,
                 pending_line,
                 ana_txt,
                 sur_txt,
+                pending_file,
             )
         )
 
-    for lineno, raw in enumerate(source.splitlines(), 1):
+    lines = ((path, lineno, raw) for path, text in sources
+             for lineno, raw in enumerate(text.splitlines(), 1))
+    for filename, lineno, raw in lines:
         line = strip_comment(raw)
         if not line.strip():
             continue
@@ -189,7 +199,7 @@ def parse_lexc(source: str, table: SymbolTable = None,
             pending_gloss = gloss
         for f in fields:
             if not pending:
-                pending_line = lineno
+                pending_file, pending_line = filename, lineno
             if f == ";":
                 flush_entry()
             elif f.endswith(";") and not f.endswith("%;"):
@@ -198,14 +208,17 @@ def parse_lexc(source: str, table: SymbolTable = None,
             else:
                 pending.append(f)
     if pending or pending_gloss is not None:
-        raise ParseError("entry not terminated by ';'", filename, pending_line)
+        raise ParseError("entry not terminated by ';'", pending_file,
+                         pending_line)
 
     ast = LexiconAst(multichar_decls, lexicons, table)
-    _validate(ast, filename)
+    _validate(ast, sources[0][0] if len(sources) == 1 else None)
     return ast
 
 
 def _validate(ast, filename=None):
+    """filename names the one source, if there is one, for an error that
+    no single entry locates."""
     if "Root" not in ast.lexicons:
         raise ParseError("no LEXICON Root defined", filename)
     for name, entries in ast.lexicons.items():
@@ -213,7 +226,7 @@ def _validate(ast, filename=None):
             if e.contlex != END and e.contlex not in ast.lexicons:
                 raise ParseError(
                     f"undefined continuation lexicon {e.contlex!r}"
-                    f" (referenced from {name})", filename, e.line)
+                    f" (referenced from {name})", e.filename, e.line)
 
 
 def contlex_cycles(ast: LexiconAst) -> list:

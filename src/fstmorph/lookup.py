@@ -36,8 +36,6 @@ class Analysis:
 @dataclass
 class Pipeline:
     table: SymbolTable
-    lexicon: fst.Transducer
-    rules: fst.Transducer
     generator: fst.Transducer
     analyzer: fst.Transducer
     mode: str
@@ -106,13 +104,9 @@ def build_relax(table, spec, alphabet_ids) -> fst.Transducer:
     return _mapping_transducer(table, alphabet_ids, spec, keep_original=True)
 
 
-def surface_alphabet(machine: fst.Transducer) -> set:
-    return {o for _, _, o, _ in machine.arcs if o != EPSILON_ID}
-
-
 def _check_leaks(generator, table):
     leaked = sorted(
-        table.resolve(o) for o in surface_alphabet(generator)
+        table.resolve(o) for o in generator.output_labels()
         if table.is_multichar(o))
     if leaked:
         raise PipelineError(
@@ -183,7 +177,7 @@ def build_pipeline(lexicon_ast: lexc.LexiconAst, ruleset: twol.RuleSet,
                             "string passes the rules" + hint)
     _check_leaks(generator, table)
 
-    surf = surface_alphabet(generator)
+    surf = generator.output_labels()
     analyzer_source = generator
     if mode == "normative":
         if not orthography:
@@ -203,9 +197,9 @@ def build_pipeline(lexicon_ast: lexc.LexiconAst, ruleset: twol.RuleSet,
     relax = None
     if relax_spec:
         relax = build_relax(table, relax_spec,
-                            surface_alphabet(analyzer_source))
-    return Pipeline(table, lexicon, rules, generator, analyzer, mode,
-                    relax, lexc.extract_glosses(lexicon_ast))
+                            analyzer_source.output_labels())
+    return Pipeline(table, generator, analyzer, mode, relax,
+                    lexc.extract_glosses(lexicon_ast))
 
 
 def _tokenize_strict(table, text):

@@ -461,7 +461,6 @@ def _validate(ruleset):
                             raise ParseError(
                                 f"rule {rule.name!r} references unknown set"
                                 f" {side[1]!r}", line=rule.line)
-                _matching_pairs(atom, ruleset)  # raises on unknown sets
 
 
 def _atoms(node):

@@ -154,6 +154,25 @@ def test_parse_error_is_usage_error(tmp_path, capsys):
     assert "UNDEFINED" in capsys.readouterr().err
 
 
+def test_lexc_errors_name_their_file_and_line(tmp_path, capsys):
+    rules = ["--rules", str(FIXTURE_DIR / "phonology.twol"),
+             "--out", str(tmp_path / "o")]
+    affixes = (FIXTURE_DIR / "affixes.lexc").read_text(encoding="utf-8")
+    copy = tmp_path / "affixes.lexc"
+    copy.write_text(affixes + "LEXICON Extra\nfoo UNDEFINED_X ;\n",
+                    encoding="utf-8")
+    line = affixes.count("\n") + 2
+    code = cli.main(["compile", str(FIXTURE_DIR / "roots.lexc"), str(copy),
+                     *rules])
+    assert code == 2
+    assert f"error: {copy}:{line}: undefined continuation lexicon " \
+        "'UNDEFINED_X'" in capsys.readouterr().err
+    alone = tmp_path / "alone.lexc"
+    alone.write_text("LEXICON Root\nfoo UNDEFINED ;\n", encoding="utf-8")
+    assert cli.main(["compile", str(alone), *rules]) == 2
+    assert f"error: {alone}:2: " in capsys.readouterr().err
+
+
 def test_tab_in_gloss_fails_compile_before_writing(tmp_path, capsys):
     roots = (FIXTURE_DIR / "roots.lexc").read_text(encoding="utf-8")
     assert '"flow, stream"' in roots

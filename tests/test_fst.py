@@ -131,6 +131,23 @@ def test_complement_and_intersect(table):
         assert not lang & comp_lang
 
 
+def test_complement_is_sigma_star_minus_the_language(table):
+    # arcs of a on labels outside the alphabet lead nowhere in the result
+    a, x = ids(table, "ab")
+    only_xa = fst.string_acceptor(table, [x, a])
+    comp = fst.complement(only_xa, [a])
+    assert fst.language(comp, 4) == {(a,) * n for n in range(5)}
+    sym_ids = ids(table, "abc")
+    alphabet = sym_ids[:2]
+    full = {w for n in range(5)
+            for w in itertools.product(alphabet, repeat=n)}
+    rng = random.Random(13)
+    for _ in range(100):
+        m = random_acceptor(table, sym_ids, rng)
+        comp = fst.complement(m, alphabet)
+        assert fst.language(comp, 4) == full - fst.language(m, 4)
+
+
 def test_difference_and_equivalence(table):
     a = fst.string_acceptor(table, ids(table, "ab"))
     b = fst.union(a, fst.string_acceptor(table, ids(table, "b")))
@@ -250,6 +267,59 @@ def test_accepts_helper_agrees_with_language(table):
         for n in range(4):
             for s in itertools.product(sym_ids, repeat=n):
                 assert accepts(a, list(s)) == (s in lang)
+
+
+def with_junk(t, rng):
+    """The arcs of t with its states shuffled, some more of its states
+    final, plus unreachable states that reach a final and reachable dead
+    ends: (n, start, finals, arcs)."""
+    n = t.num_states
+    junk = rng.randint(1, 4)
+    labels = sorted(t.labels()) or [EPSILON_ID]
+    arcs = list(t.arcs)
+    finals = set(t.finals) | {q for q in range(n) if rng.random() < 0.2}
+    for j in range(n, n + junk):
+        lab = rng.choice(labels)
+        if rng.random() < 0.5:  # unreachable: final, or it leads into t
+            if rng.random() < 0.3:
+                finals.add(j)
+            arcs.append((j, lab, lab, rng.randrange(n + junk)))
+        else:  # a dead end hung off t, maybe looping among dead ends
+            arcs.append((rng.randrange(n), lab, lab, j))
+            arcs.append((j, lab, lab, rng.randrange(n, n + junk)))
+    perm = list(range(n + junk))
+    rng.shuffle(perm)
+    arcs = [(perm[s], i, o, perm[d]) for s, i, o, d in arcs]
+    return n + junk, perm[t.start], {perm[f] for f in finals}, arcs
+
+
+def reachable(start, arcs):
+    seen = {start}
+    while True:  # a fixed point, independent of _trim's walks
+        more = {d for s, _, _, d in arcs if s in seen} - seen
+        if not more:
+            return seen
+        seen |= more
+
+
+def test_trim_keeps_exactly_the_useful_states(table):
+    sym_ids = ids(table, "abc")
+    rng = random.Random(17)
+    for _ in range(300):
+        n, start, finals, arcs = with_junk(
+            random_transducer(table, sym_ids, rng, max_states=5), rng)
+        forward = reachable(start, arcs)
+        backward = set(finals)
+        for f in finals:
+            backward |= reachable(f, [(d, i, o, s) for s, i, o, d in arcs])
+        keep = forward & backward
+        t = fst._trim(table, n, start, finals, arcs)
+        assert t.start == 0
+        assert t.num_states == max(len(keep), 1)
+        assert len(t.arcs) == sum(1 for a in arcs
+                                  if a[0] in keep and a[3] in keep)
+        raw = fst.Transducer(table, n, start, finals, arcs)
+        assert relation(t, 2, 100_000) == relation(raw, 2, 100_000)
 
 
 # ---------------------------------------------------------------------------

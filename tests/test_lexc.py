@@ -97,6 +97,20 @@ def test_shared_namespace_across_sources():
     assert strings(ast) == {("abcd", "abcd")}
 
 
+def test_named_sources_parse_as_one_and_locate_their_errors():
+    src1 = "LEXICON Root\nab NEXT ;\ncd\n"  # cd's entry ends in b.lexc
+    src2 = "NEXT ;\nLEXICON NEXT\nef # ;\n"
+    ast = lexc.parse_lexc([("a.lexc", src1), ("b.lexc", src2)])
+    assert strings(ast) == strings(lexc.parse_lexc(src1 + src2))
+    assert [(e.filename, e.line) for e in ast.root] == [
+        ("a.lexc", 2), ("a.lexc", 3)]
+    assert [(e.filename, e.line) for e in ast.lexicons["NEXT"]] == [
+        ("b.lexc", 3)]
+    with pytest.raises(ParseError, match=r"^b\.lexc:3: undefined .*'BAD'"):
+        lexc.parse_lexc([("a.lexc", src1),
+                         ("b.lexc", "NEXT ;\nLEXICON NEXT\nef BAD ;\n")])
+
+
 def test_contlex_cycle_detection():
     cyclic = ("LEXICON Root\na Step ;\n"
               "LEXICON Step\nb Root ;\nc # ;\n")
