@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import fst
-from .errors import ParseError
-from .symbols import SymbolTable, strip_comment
+from .errors import ParseError, SymbolError
+from .symbols import SymbolTable, find_unescaped, strip_comment
 
 END = "#"
 
@@ -63,17 +63,12 @@ def _split_fields(line, lineno, filename):
     fields = []
     gloss = None
     i = 0
-    n = len(line)
-    while i < n:
-        ch = line[i]
-        if ch.isspace():
+    while i < len(line):
+        if line[i].isspace():
             i += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and line[j] != '"':
-                j += 1
-            if j >= n:
+        elif line[i] == '"':
+            j = line.find('"', i + 1)
+            if j < 0:
                 raise ParseError("unterminated gloss quote", filename, lineno)
             if gloss is not None:
                 raise ParseError("more than one gloss on entry", filename, lineno)
@@ -81,35 +76,27 @@ def _split_fields(line, lineno, filename):
             if "\t" in gloss:  # glosses.tsv is tab-separated
                 raise ParseError("tab in gloss", filename, lineno)
             i = j + 1
-            continue
-        j = i
-        buf = []
-        while j < n:
-            c = line[j]
-            if c == "%" and j + 1 < n:
-                buf.append(line[j : j + 2])
-                j += 2
-                continue
-            if c.isspace() or c == '"':
-                break
-            buf.append(c)
-            j += 1
-        fields.append("".join(buf))
-        i = j
+        else:
+            j = find_unescaped(line, lambda c: c.isspace() or c == '"', i)
+            fields.append(line[i:j])
+            i = j
     return fields, gloss
 
 
 def _split_entry_pair(text):
     """Split analysis:surface at the first unescaped ':'."""
-    i = 0
-    while i < len(text):
-        if text[i] == "%" and i + 1 < len(text):
-            i += 2
-            continue
-        if text[i] == ":":
-            return text[:i], text[i + 1 :]
-        i += 1
-    return text, None
+    i = find_unescaped(text, ":".__eq__)
+    if i == len(text):
+        return text, None
+    return text[:i], text[i + 1 :]
+
+
+def _ends_entry(field):
+    """Whether the field's last code point is an unescaped ';'."""
+    i = -1
+    while i < len(field) - 1:
+        i = find_unescaped(field, ";".__eq__, i + 1)
+    return i == len(field) - 1
 
 
 def parse_lexc(source, table: SymbolTable = None,
@@ -149,8 +136,12 @@ def parse_lexc(source, table: SymbolTable = None,
             ana_txt, sur_txt = _split_entry_pair(fields[0])
         else:
             ana_txt, sur_txt = "", None
-        analysis = table.tokenize(ana_txt) if ana_txt else []
-        surface = table.tokenize(sur_txt) if sur_txt is not None else analysis
+        try:
+            analysis = table.tokenize(ana_txt) if ana_txt else []
+            surface = (table.tokenize(sur_txt) if sur_txt is not None
+                       else analysis)
+        except SymbolError as exc:
+            raise ParseError(str(exc), pending_file, pending_line) from None
         current[1].append(
             LexEntry(
                 [s.id for s in analysis],
@@ -186,7 +177,10 @@ def parse_lexc(source, table: SymbolTable = None,
             fields = fields[2:]
         if mode == "multichar":
             for f in fields:
-                table.declare_multichar(f)
+                try:
+                    table.declare_multichar(f)
+                except SymbolError as exc:
+                    raise ParseError(str(exc), filename, lineno) from None
                 multichar_decls.append(f)
             continue
         if mode is None and fields:
@@ -200,13 +194,12 @@ def parse_lexc(source, table: SymbolTable = None,
         for f in fields:
             if not pending:
                 pending_file, pending_line = filename, lineno
-            if f == ";":
-                flush_entry()
-            elif f.endswith(";") and not f.endswith("%;"):
-                pending.append(f[:-1])
-                flush_entry()
-            else:
+            if not _ends_entry(f):
                 pending.append(f)
+                continue
+            if f != ";":
+                pending.append(f[:-1])
+            flush_entry()
     if pending or pending_gloss is not None:
         raise ParseError("entry not terminated by ';'", pending_file,
                          pending_line)

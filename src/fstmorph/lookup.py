@@ -253,7 +253,7 @@ def load_pipeline(lexc_texts, twol_text, mode: str = "pedagogical",
     """Parse lexicon and rule sources into one shared symbol table and
     assemble the pipeline.  Multiple lexicon files share a namespace."""
     table = SymbolTable()
-    ast = lexc.parse_lexc("\n".join(lexc_texts), table)
+    ast = lexc.parse_lexc([(None, text) for text in lexc_texts], table)
     ruleset = twol.parse_twol(twol_text, table)
     orthography = None
     if orthography_text is not None:
@@ -297,7 +297,8 @@ def format_mapping_file(spec, table) -> str:
         if sid == EPSILON_ID:
             return "0"
         text = table.resolve(sid)
-        return "%" + text if text == "0" or text.startswith("#") else text
+        return ("%" + text if text in ("0", "%") or text.startswith("#")
+                else text)
 
     rows = sorted((cell(k), cell(v)) for k, variants in spec
                   for v in variants)

@@ -4,7 +4,9 @@ All text enters through NFC normalization so that combining-mark and
 precomposed spellings of the same grapheme intern to one id.  A '%' in
 source text escapes the next code point; the canonical text of a symbol
 keeps the escaped spelling, while longest-match tokenization runs over
-the unescaped content.
+the unescaped content.  find_unescaped is the one reader of '%' in
+source text: the lexc and twol lexers split lines with it, and _scan
+reads the escapes inside a symbol token.
 """
 
 from __future__ import annotations
@@ -43,17 +45,24 @@ def _scan(text: str) -> list[tuple[str, bool]]:
     return out
 
 
-def strip_comment(line: str) -> str:
-    """The line up to its first unescaped '!', escapes kept as written."""
-    i = 0
-    while i < len(line):
-        if line[i] == "%":
+def find_unescaped(text: str, stop, start: int = 0) -> int:
+    """Index of the first code point at or after start that no '%'
+    escapes and for which stop(ch) holds, or len(text).  Each '%x' pair
+    is skipped whole; a lone '%' at the end is a literal code point."""
+    i = start
+    while i < len(text):
+        if text[i] == "%" and i + 1 < len(text):
             i += 2
-        elif line[i] == "!":
-            return line[:i]
+        elif stop(text[i]):
+            return i
         else:
             i += 1
-    return line
+    return len(text)
+
+
+def strip_comment(line: str) -> str:
+    """The line up to its first unescaped '!', escapes kept as written."""
+    return line[:find_unescaped(line, "!".__eq__)]
 
 
 @dataclass(frozen=True)
@@ -98,7 +107,8 @@ class SymbolTable:
             sym = Symbol(sid, text)
             self._symbols.append(sym)
             self._index[text] = sid
-        if multichar or len(unescape(text)) > 1:
+        # a one-character text is the content itself, even a '%'
+        if multichar or (len(text) > 1 and len(unescape(text)) > 1):
             self._multichar_ids.add(sid)
         return self._symbols[sid]
 
@@ -212,10 +222,13 @@ class SymbolTable:
     # -- pair symbols ------------------------------------------------------
 
     def pair_symbol(self, upper: int, lower: int) -> Symbol:
-        """Intern the composite "upper:lower" symbol (epsilon spelled "0")."""
-        up = "0" if upper == EPSILON_ID else self.resolve(upper)
-        lo = "0" if lower == EPSILON_ID else self.resolve(lower)
-        sym = self.intern(f"{up}:{lo}", multichar=True)
+        """Intern the composite "upper:lower" symbol (epsilon spelled "0",
+        a '%' side "%%", so that the text unescapes as a multichar)."""
+        def side(sid):
+            text = "0" if sid == EPSILON_ID else self.resolve(sid)
+            return "%%" if text == "%" else text
+
+        sym = self.intern(f"{side(upper)}:{side(lower)}", multichar=True)
         self._pair_parts[sym.id] = (upper, lower)
         return sym
 

@@ -3,10 +3,11 @@
 Suite format, one case per line:
 
     analysis: surface
-    analysis: [form1, form2]    # multiple accepted forms
-    # comment
+    analysis: [form1, form2]
+    # comment, on a line of its own
 
-Duplicate analysis keys merge their surface sets.  Generation must match
+A bracketed right-hand side lists several accepted forms.  Duplicate
+analysis keys merge their surface sets.  Generation must match
 the expected set exactly (over-generation fails); analysis only needs to
 contain the expected reading among its results (homonyms are fine).
 """
@@ -95,7 +96,10 @@ def parse_suite(source: str, filename: str = None) -> list:
         rhs = rhs.strip()
         if not analysis or not rhs:
             raise ParseError("empty analysis or surface", filename, lineno)
-        if rhs.startswith("[") and rhs.endswith("]"):
+        if rhs.startswith("["):
+            if not rhs.endswith("]"):
+                raise ParseError("surface list lacks its closing ']'",
+                                 filename, lineno)
             forms = {f.strip() for f in rhs[1:-1].split(",") if f.strip()}
         else:
             forms = {rhs}
@@ -186,18 +190,25 @@ class CoverageStats:
         return "\n".join(lines) + "\n"
 
 
-def _tag_sequences(pipeline, pos, max_len, max_count):
-    """Distinct post-POS tag sequences on the generator's analysis side."""
+def _tag_sequences_by_pos(pipeline, max_len, max_count):
+    """Distinct post-POS tag sequences on the generator's analysis side,
+    as {POS tag: sequences}, and whether the enumeration was cut short."""
     analyses = fst.enumerate_paths(
         fst.project(pipeline.generator, "input"), max_len, max_count)
     table = pipeline.table
-    seqs = set()
+    by_pos = {}
     for ids, _ in analyses.pairs:
         texts = [table.resolve(i) for i in ids]
         tags = [t for t in texts if t.startswith("+")]
-        if tags and tags[0] == pos:
-            seqs.add(tuple(tags[1:]))
-    return seqs, analyses.truncated
+        if tags:
+            by_pos.setdefault(tags[0], set()).add(tuple(tags[1:]))
+    return by_pos, analyses.truncated
+
+
+def _tag_sequences(pipeline, pos, max_len, max_count):
+    """The post-POS tag sequences of one POS tag."""
+    by_pos, truncated = _tag_sequences_by_pos(pipeline, max_len, max_count)
+    return by_pos.get(pos, set()), truncated
 
 
 def coverage_stats(lexicon_ast: lexc.LexiconAst, pipeline: lookup.Pipeline,
@@ -216,8 +227,9 @@ def coverage_stats(lexicon_ast: lexc.LexiconAst, pipeline: lookup.Pipeline,
             stats.glossed += 1
         else:
             stats.unglossed += 1
+    by_pos, truncated = _tag_sequences_by_pos(pipeline, max_len, max_count)
     for pos, stats in per_pos.items():
-        seqs, truncated = _tag_sequences(pipeline, pos, max_len, max_count)
+        seqs = by_pos.get(pos, set())
         stats.truncated = truncated
         stats.inflections = sum(
             1 for s in seqs if not DERIVATION_TAGS & set(s))

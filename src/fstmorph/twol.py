@@ -24,8 +24,9 @@ import warnings
 from dataclasses import dataclass, field
 
 from . import fst
-from .errors import ParseError, FstMorphError
-from .symbols import EPSILON_ID, SymbolTable, nfc, strip_comment, unescape
+from .errors import ParseError, FstMorphError, SymbolError
+from .symbols import (EPSILON_ID, SymbolTable, find_unescaped, nfc,
+                      strip_comment, unescape)
 
 OPERATORS = ("=>", "<=", "<=>", "/<=")
 
@@ -158,19 +159,9 @@ def _lex(source):
                 toks.append(_Tok(ch, lineno, glued))
                 i += 1
             else:
-                j = i
-                buf = []
-                while j < len(line):
-                    c = line[j]
-                    if c == "%" and j + 1 < len(line):
-                        buf.append(line[j : j + 2])
-                        j += 2
-                        continue
-                    if c.isspace() or c in _SPECIALS:
-                        break
-                    buf.append(c)
-                    j += 1
-                toks.append(_Tok("".join(buf), lineno, glued))
+                j = find_unescaped(
+                    line, lambda c: c.isspace() or c in _SPECIALS, i)
+                toks.append(_Tok(line[i:j], lineno, glued))
                 i = j
             prev_end = i
     return toks
@@ -178,20 +169,12 @@ def _lex(source):
 
 def _split_pair_token(text):
     """Split a symbol token at the single unescaped ':' if present."""
-    depth_i = None
-    i = 0
-    while i < len(text):
-        if text[i] == "%" and i + 1 < len(text):
-            i += 2
-            continue
-        if text[i] == ":":
-            if depth_i is not None:
-                raise ParseError(f"more than one ':' in pair {text!r}")
-            depth_i = i
-        i += 1
-    if depth_i is None:
+    i = find_unescaped(text, ":".__eq__)
+    if i == len(text):
         return text, None
-    return text[:depth_i], text[depth_i + 1 :]
+    if find_unescaped(text, ":".__eq__, i + 1) < len(text):
+        raise ParseError(f"more than one ':' in pair {text!r}")
+    return text[:i], text[i + 1 :]
 
 
 class _Parser:
@@ -201,7 +184,6 @@ class _Parser:
         self.table = table
         self.filename = filename
         self.sets = {}
-        self.set_names = set()
         self.pairs = []
         self.pair_set = set()
 
@@ -248,7 +230,13 @@ class _Parser:
             self.err("empty symbol in pair", tok)
         if text == "0":
             return EPSILON_ID
-        return self.table.symbol_for(text).id
+        return self._symbol(text, tok)
+
+    def _symbol(self, text, tok):
+        try:
+            return self.table.symbol_for(text).id
+        except SymbolError as exc:
+            self.err(str(exc), tok)
 
     def parse_alphabet(self):
         while True:
@@ -280,11 +268,10 @@ class _Parser:
                 t = self.next()
                 if t.text == ";" and not t.quoted:
                     break
-                members.append(self.table.symbol_for(t.text).id)
+                members.append(self._symbol(t.text, t))
             if name.text in self.sets:
                 self.err(f"duplicate set {name.text!r}", name)
             self.sets[name.text] = members
-            self.set_names.add(name.text)
 
     def parse_rules(self):
         rules = []
@@ -406,9 +393,12 @@ class _Parser:
             return None  # "x:" / ":y" — open side
         if text == "0":
             return EPSILON_ID
-        content = unescape(nfc(text))
-        if content in self.set_names or text in self.set_names:
-            return ("set", text if text in self.set_names else content)
+        try:
+            content = unescape(nfc(text))
+        except SymbolError as exc:
+            self.err(str(exc), tok)
+        if content in self.sets or text in self.sets:
+            return ("set", text if text in self.sets else content)
         sid = self.table.content_id(text)
         if sid is None:
             self.err(f"unknown set or symbol {text!r}", tok)
@@ -438,12 +428,12 @@ def parse_twol(source: str, table: SymbolTable = None,
     if table is None:
         table = SymbolTable()
     ruleset = _Parser(source, table, filename).parse()
-    _validate(ruleset)
+    _validate(ruleset, filename)
     return ruleset
 
 
-def _validate(ruleset):
-    """Explicit pair atoms and rule centers must be resolvable."""
+def _validate(ruleset, filename=None):
+    """Every rule center but a `<=` one must be a feasible pair."""
     for rule in ruleset.rules:
         if rule.op in ("=>", "<=>", "/<=") and \
                 rule.center not in ruleset.alphabet:
@@ -452,25 +442,7 @@ def _validate(ruleset):
             raise ParseError(
                 f"rule {rule.name!r}: center pair "
                 f"{table.render([a]) or '0'}:{table.render([b]) or '0'} "
-                f"is not a feasible pair", line=rule.line)
-        for left, right in rule.contexts:
-            for atom in _atoms(left) + _atoms(right):
-                for side in (atom.left, atom.right):
-                    if isinstance(side, tuple) and side[0] == "set":
-                        if side[1] not in ruleset.sets:
-                            raise ParseError(
-                                f"rule {rule.name!r} references unknown set"
-                                f" {side[1]!r}", line=rule.line)
-
-
-def _atoms(node):
-    if isinstance(node, Atom):
-        return [node]
-    if isinstance(node, (Star, Plus, Opt)):
-        return _atoms(node.item)
-    if isinstance(node, (Seq, Alt)):
-        return [a for item in node.items for a in _atoms(item)]
-    return []
+                f"is not a feasible pair", filename, rule.line)
 
 
 # ---------------------------------------------------------------------------

@@ -85,3 +85,14 @@ def test_import_symbols_rejects_a_bad_id_or_flag(table):
         att.import_symbols(text.replace("2\t", "01\t", 1))
     with pytest.raises(ParseError, match="^3: bad multichar flag '\\?'"):
         att.import_symbols(text.replace("\tm", "\t?"))
+
+
+def test_percent_symbol_survives_the_sidecar():
+    table = SymbolTable()
+    pct = table.symbol_for("%%").id
+    table.pair_symbol(pct, pct)
+    text = att.export_symbols(table)
+    restored = att.import_symbols(text)
+    assert att.export_symbols(restored) == text
+    assert restored.resolve(pct) == "%"
+    assert [s.id for s in restored.tokenize("%%")] == [pct]

@@ -173,6 +173,49 @@ def test_lexc_errors_name_their_file_and_line(tmp_path, capsys):
     assert f"error: {alone}:2: " in capsys.readouterr().err
 
 
+def test_lexc_symbol_errors_name_their_file_and_line(tmp_path, capsys):
+    lexicon = tmp_path / "bad.lexc"
+    lexicon.write_text("LEXICON Root\nbad%\n # ;\n", encoding="utf-8")
+    code = cli.main(["compile", str(lexicon),
+                     "--rules", str(FIXTURE_DIR / "phonology.twol"),
+                     "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"error: {lexicon}:2: dangling '%' escape" \
+        in capsys.readouterr().err
+
+
+def test_twol_symbol_errors_name_their_file_and_line(tmp_path, capsys):
+    lexicon = tmp_path / "a.lexc"
+    lexicon.write_text("LEXICON Root\na # ;\n", encoding="utf-8")
+    rules = tmp_path / "bad.twol"
+    for text, message in [
+            ("Alphabet\n a\n q%\n ;\n", "3: dangling '%' escape"),
+            ('Alphabet\n a b ;\nRules\n"R" a:b => _ ;\n',
+             "4: rule 'R': center pair a:b is not a feasible pair")]:
+        rules.write_text(text, encoding="utf-8")
+        code = cli.main(["compile", str(lexicon), "--rules", str(rules),
+                         "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"error: {rules}:{message}" in capsys.readouterr().err
+
+
+def test_percent_symbol_compiles_and_looks_up(tmp_path, capsys,
+                                              monkeypatch):
+    lexicon = tmp_path / "pct.lexc"
+    lexicon.write_text("LEXICON Root\npct%% # ;\n", encoding="utf-8")
+    rules = tmp_path / "pct.twol"
+    rules.write_text("Alphabet\n p c t %% ;\n", encoding="utf-8")
+    relax = tmp_path / "relax.tsv"
+    relax.write_text("t\t%%\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert cli.main(["compile", str(lexicon), "--rules", str(rules),
+                     "--relax", str(relax), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run(["lookup", str(out), "--direction", "down"], "pct%%\n",
+               monkeypatch) == 0
+    assert capsys.readouterr().out == "pct%%\tpct%\n"
+
+
 def test_tab_in_gloss_fails_compile_before_writing(tmp_path, capsys):
     roots = (FIXTURE_DIR / "roots.lexc").read_text(encoding="utf-8")
     assert '"flow, stream"' in roots

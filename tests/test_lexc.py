@@ -135,3 +135,25 @@ def test_escaped_specials_in_stems():
     assert pair == ("t%{ie%}t", "t%{ie%}t")
     # three symbols on each side: t, {ie}, t
     assert len(ast.root[0].analysis) == 3
+
+
+def test_escaped_percent_before_the_terminator_ends_the_entry():
+    ast = lexc.parse_lexc("LEXICON Root\na Pct%%;\nb # ;\n"
+                          "LEXICON Pct%%\n# ;\n")
+    assert [e.contlex for e in ast.root] == ["Pct%%", "#"]
+    assert strings(ast) == {("a", "a"), ("b", "b")}
+    # an escaped ';' is part of its field and ends nothing
+    with pytest.raises(ParseError, match="';'"):
+        lexc.parse_lexc("LEXICON Root\na # b%;\n")
+
+
+def test_escaped_percent_entry():
+    assert strings(lexc.parse_lexc("LEXICON Root\npct%% # ;\n")) == {
+        ("pct%", "pct%")}
+
+
+def test_bad_escapes_are_located():
+    with pytest.raises(ParseError, match=r"^x\.lexc:2: dangling '%'"):
+        lexc.parse_lexc("LEXICON Root\nbad%\n # ;\n", filename="x.lexc")
+    with pytest.raises(ParseError, match=r"^1: dangling '%'"):
+        lexc.parse_lexc("Multichar_Symbols +N %\nLEXICON Root\n# ;\n")

@@ -1,7 +1,8 @@
 import pytest
 
 from fstmorph import fst, lexc, lookup, twol
-from fstmorph.errors import FstMorphError, PipelineError, UnknownSymbolError
+from fstmorph.errors import (FstMorphError, ParseError, PipelineError,
+                             UnknownSymbolError)
 from fstmorph.symbols import EPSILON_ID, SymbolTable
 
 from conftest import GOLD_FORMS
@@ -197,3 +198,23 @@ def test_trigger_leak_is_an_error():
     ruleset = twol.parse_twol("Alphabet\n a %^T ;\n", table)
     with pytest.raises(PipelineError, match="leak"):
         lookup.build_pipeline(ast, ruleset)
+
+
+def test_load_pipeline_counts_lines_within_each_text(fixture_sources):
+    roots, affixes = fixture_sources["lexc"]
+    extra = affixes + "LEXICON Extra\nfoo UNDEFINED_X ;\n"
+    line = affixes.count("\n") + 2
+    with pytest.raises(ParseError, match=rf"^{line}: undefined .*UNDEFINED_X"):
+        lookup.load_pipeline([roots, extra], fixture_sources["twol"])
+
+
+def test_percent_symbol_in_lexicon_and_mapping():
+    pipe = lookup.load_pipeline(["LEXICON Root\npct%% # ;\n"],
+                                "Alphabet\n p c t %% ;\n",
+                                relax_text="t\t%%\n")
+    assert lookup.generate(pipe, "pct%%") == ["pct%"]
+    table = pipe.table
+    spec = lookup.parse_mapping_file("t\t%%\n", table)
+    assert spec == [(table.id_of("t"), [table.id_of("%")])]
+    text = lookup.format_mapping_file(spec, table)
+    assert lookup.parse_mapping_file(text, table) == spec

@@ -2,8 +2,9 @@ import unicodedata
 
 import pytest
 
-from fstmorph.errors import UnknownSymbolError
-from fstmorph.symbols import EPSILON_ID, EPSILON_TEXT, SymbolTable
+from fstmorph.errors import SymbolError, UnknownSymbolError
+from fstmorph.symbols import (EPSILON_ID, EPSILON_TEXT, SymbolTable,
+                              find_unescaped)
 
 
 def test_epsilon_is_id_zero():
@@ -75,3 +76,22 @@ def test_render_round_trip():
     table.declare_multichar("+N")
     ids = [s.id for s in table.tokenize("algg+N")]
     assert table.render(ids) == "algg+N"
+
+
+def test_find_unescaped_skips_escape_pairs():
+    assert find_unescaped("a%!b!c", "!".__eq__) == 4
+    assert find_unescaped("%%!", "!".__eq__) == 2
+    assert find_unescaped("a b c", str.isspace, 2) == 3
+    assert find_unescaped("a%:", ":".__eq__) == 3  # none: len(text)
+    # a lone '%' at the end is a literal code point
+    assert find_unescaped("ab%", "%".__eq__) == 2
+
+
+def test_escaped_percent_is_a_symbol():
+    table = SymbolTable()
+    pct = table.symbol_for("%%")
+    assert pct.text == "%"
+    assert not table.is_multichar(pct.id)
+    assert [s.id for s in table.tokenize("a%%")] == [table.id_of("a"), pct.id]
+    with pytest.raises(SymbolError, match="dangling"):
+        table.tokenize("a%")

@@ -105,3 +105,9 @@ def test_stats_truncation_flagged(pipeline, fixture_parsed):
     stats = testkit.coverage_stats(ast, pipeline, max_count=3)
     assert stats.forms_truncated
     assert "+" in stats.to_table().splitlines()[-1]
+
+
+def test_parse_suite_rejects_an_unclosed_list():
+    with pytest.raises(ParseError, match=r"^s\.txt:2: .*'\]'"):
+        testkit.parse_suite(
+            "a+N: x\nb+N: [form1, form2]    # two forms\n", "s.txt")

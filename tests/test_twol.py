@@ -226,3 +226,14 @@ def test_pairs_to_transducer():
     paths = fst.enumerate_paths(machine, 5, 10)
     assert {(p[0], p[1]) for p in paths.pairs} == {
         ((table.id_of("a"), table.id_of("%^T")), (table.id_of("b"),))}
+
+
+def test_bad_escapes_are_located():
+    sources = [
+        ("Alphabet\n a q%\n ;\n", 2),
+        ("Alphabet\n a ;\nSets\n S = a%\n ;\n", 4),
+        ('Alphabet\n a ;\nRules\n"R" a => _ a%\n ;\n', 4),
+    ]
+    for source, line in sources:
+        with pytest.raises(ParseError, match=rf"^r\.twol:{line}: dangling"):
+            twol.parse_twol(source, filename="r.twol")
