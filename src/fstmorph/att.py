@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .errors import ParseError
 from .fst import EPSILON_ID, Transducer, _trim
-from .symbols import EPSILON_TEXT, SymbolTable
+from .symbols import EPSILON_TEXT, SymbolTable, find_unescaped
 
 
 def export_att(t: Transducer, table: SymbolTable) -> str:
@@ -92,14 +92,29 @@ def import_att(text: str, table: SymbolTable) -> Transducer:
 
 
 def export_symbols(table: SymbolTable) -> str:
-    """Sidecar listing every symbol: id, text, multichar flag."""
+    """Sidecar listing every symbol: id, text, and a flag: "p" for a
+    pair symbol, "m" for another multichar, "-" for the rest."""
     lines = []
     for sym in table.symbols():
         if sym.id == EPSILON_ID:
             continue
-        flag = "m" if table.is_multichar(sym.id) else "-"
+        flag = ("p" if table.is_pair_symbol(sym.id)
+                else "m" if table.is_multichar(sym.id) else "-")
         lines.append(f"{sym.id}\t{sym.text}\t{flag}")
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _pair_side(table, text, lineno):
+    """The id of one side of a pair symbol's text, as pair_symbol spells
+    it: "0" for epsilon, "%" before a "%", ":" or "0" symbol."""
+    if text == "0":
+        return EPSILON_ID
+    if text in ("%%", "%:", "%0"):
+        text = text[1:]
+    if text not in table:
+        raise ParseError(f"pair side {text!r} is not an earlier symbol",
+                         line=lineno)
+    return table.id_of(text)
 
 
 def import_symbols(text: str) -> SymbolTable:
@@ -113,13 +128,18 @@ def import_symbols(text: str) -> SymbolTable:
         sid, sym_text, flag = _number(parts[0]), parts[1], parts[2]
         if sid is None:
             raise ParseError(f"bad symbol id {parts[0]!r}", line=lineno)
-        if flag == "m":
+        if flag == "p":
+            i = find_unescaped(sym_text, ":".__eq__)
+            sym = table.pair_symbol(_pair_side(table, sym_text[:i], lineno),
+                                    _pair_side(table, sym_text[i + 1:],
+                                               lineno))
+        elif flag == "m":
             sym = table.declare_multichar(sym_text)
         elif flag == "-":
             sym = table.intern(sym_text)
         else:
-            raise ParseError(f"bad multichar flag {flag!r}, expected 'm' or "
-                             f"'-'", line=lineno)
+            raise ParseError(f"bad multichar flag {flag!r}, expected 'p', "
+                             f"'m' or '-'", line=lineno)
         if sym.id != sid:
             raise ParseError(
                 f"symbol file ids are not dense at line {lineno}", line=lineno

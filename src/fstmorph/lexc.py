@@ -7,11 +7,20 @@ Grammar:
     lexicon     ::= "LEXICON" name entry*
     entry       ::= [ analysis [ ":" surface ] ] contlex [ '"' gloss '"' ] ";"
 
-'!' starts a comment to end of line, '%' escapes the next code point,
-"#" is the end-of-word continuation, a lone "0" field is epsilon.
-Several files compiled together share one namespace: parse them as one
-list of (filename, text) sources, read in order as if concatenated,
-with each error located in its own file.
+The source is read as symbols.lex_lines tokens: '!' starts a comment to
+end of line, '%' escapes the next code point, and a '"' quote runs to
+the next '"' on its line.  "#" is the end-of-word continuation, a lone
+"0" field is epsilon.  Line breaks do not matter inside an entry: it is
+the run of tokens up to the first unquoted one that ends in an
+unescaped ';', and a quoted token in that run, wherever it stands, is
+its gloss.  An entry is located at the file and line of its first
+field.  "LEXICON" and "Multichar_Symbols" are keywords only as the first
+unquoted token of a line; the rest of that line belongs to the section
+they open, and an entry still open there is an error, as is a quoted
+token among the Multichar_Symbols.  Several files compiled together
+share one namespace: parse them as one list of (filename, text)
+sources, read in order as if concatenated, with each error located in
+its own file.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from dataclasses import dataclass, field
 
 from . import fst
 from .errors import ParseError, SymbolError
-from .symbols import SymbolTable, find_unescaped, strip_comment
+from .symbols import SymbolTable, find_unescaped, lex_lines
 
 END = "#"
 
@@ -58,31 +67,6 @@ class GlossTable:
         return self.rows.get((lemma, pos), [])
 
 
-def _split_fields(line, lineno, filename):
-    """Whitespace-split honoring '%' escapes and one quoted gloss."""
-    fields = []
-    gloss = None
-    i = 0
-    while i < len(line):
-        if line[i].isspace():
-            i += 1
-        elif line[i] == '"':
-            j = line.find('"', i + 1)
-            if j < 0:
-                raise ParseError("unterminated gloss quote", filename, lineno)
-            if gloss is not None:
-                raise ParseError("more than one gloss on entry", filename, lineno)
-            gloss = line[i + 1 : j]
-            if "\t" in gloss:  # glosses.tsv is tab-separated
-                raise ParseError("tab in gloss", filename, lineno)
-            i = j + 1
-        else:
-            j = find_unescaped(line, lambda c: c.isspace() or c == '"', i)
-            fields.append(line[i:j])
-            i = j
-    return fields, gloss
-
-
 def _split_entry_pair(text):
     """Split analysis:surface at the first unescaped ':'."""
     i = find_unescaped(text, ":".__eq__)
@@ -93,10 +77,31 @@ def _split_entry_pair(text):
 
 def _ends_entry(field):
     """Whether the field's last code point is an unescaped ';'."""
+    if not field.endswith(";"):  # spares most fields the escape scan
+        return False
     i = -1
     while i < len(field) - 1:
         i = find_unescaped(field, ";".__eq__, i + 1)
     return i == len(field) - 1
+
+
+def _entry(fields, gloss, start, table):
+    """The LexEntry of an entry's fields, gloss token and first field."""
+    if not fields:
+        raise ParseError("empty entry", start.file, start.line)
+    if len(fields) > 2:
+        raise ParseError(f"too many fields in entry: {' '.join(fields)!r}",
+                         start.file, start.line)
+    ana_txt, sur_txt = (_split_entry_pair(fields[0]) if len(fields) == 2
+                        else ("", None))
+    try:
+        analysis = table.tokenize(ana_txt) if ana_txt else []
+        surface = table.tokenize(sur_txt) if sur_txt is not None else analysis
+    except SymbolError as exc:
+        raise ParseError(str(exc), start.file, start.line) from None
+    return LexEntry([s.id for s in analysis], [s.id for s in surface],
+                    fields[-1], gloss and gloss.text, start.line, ana_txt,
+                    sur_txt, start.file)
 
 
 def parse_lexc(source, table: SymbolTable = None,
@@ -109,100 +114,61 @@ def parse_lexc(source, table: SymbolTable = None,
         table = SymbolTable()
     multichar_decls = []
     lexicons = {}
-    current = None  # (name, entries)
+    entries = None  # the current LEXICON's
     mode = None  # None | "multichar" | "lexicon"
-    pending = []  # raw entry fields awaiting ';' (entries may span lines)
-    pending_gloss = None
-    pending_line = 0
-    pending_file = None
+    fields, gloss, start = [], None, None  # the open entry
 
-    def flush_entry():
-        nonlocal pending, pending_gloss
-        fields = pending
-        gloss = pending_gloss
-        pending = []
-        pending_gloss = None
-        if not fields:
-            raise ParseError("empty entry", pending_file, pending_line)
-        if current is None:
-            raise ParseError("entry outside any LEXICON", pending_file,
-                             pending_line)
-        contlex = fields[-1]
-        if len(fields) > 2:
-            raise ParseError(
-                f"too many fields in entry: {' '.join(fields)!r}",
-                pending_file, pending_line)
-        if len(fields) == 2:
-            ana_txt, sur_txt = _split_entry_pair(fields[0])
-        else:
-            ana_txt, sur_txt = "", None
-        try:
-            analysis = table.tokenize(ana_txt) if ana_txt else []
-            surface = (table.tokenize(sur_txt) if sur_txt is not None
-                       else analysis)
-        except SymbolError as exc:
-            raise ParseError(str(exc), pending_file, pending_line) from None
-        current[1].append(
-            LexEntry(
-                [s.id for s in analysis],
-                [s.id for s in surface],
-                contlex,
-                gloss,
-                pending_line,
-                ana_txt,
-                sur_txt,
-                pending_file,
-            )
-        )
+    def unterminated():
+        tok = start or gloss
+        return ParseError("entry not terminated by ';'", tok.file, tok.line)
 
-    lines = ((path, lineno, raw) for path, text in sources
-             for lineno, raw in enumerate(text.splitlines(), 1))
-    for filename, lineno, raw in lines:
-        line = strip_comment(raw)
-        if not line.strip():
-            continue
-        fields, gloss = _split_fields(line, lineno, filename)
-        if fields and fields[0] == "Multichar_Symbols":
-            mode = "multichar"
-            fields = fields[1:]
-        if fields and fields[0] == "LEXICON":
-            if len(fields) < 2:
-                raise ParseError("LEXICON without a name", filename, lineno)
-            name = fields[1]
-            if name in lexicons:
-                raise ParseError(f"duplicate LEXICON {name!r}", filename, lineno)
-            lexicons[name] = []
-            current = (name, lexicons[name])
-            mode = "lexicon"
-            fields = fields[2:]
-        if mode == "multichar":
-            for f in fields:
+    for toks in lex_lines(sources, "gloss"):
+        words = [tok for tok in toks if not tok.quoted]
+        if words and words[0].text in _KEYWORDS:
+            if fields or gloss:
+                raise unterminated()
+            mode, at = "multichar", (words[0].file, words[0].line)
+            if words[0].text == "LEXICON":
+                if len(words) < 2:
+                    raise ParseError("LEXICON without a name", *at)
+                name = words[1].text
+                if name in lexicons:
+                    raise ParseError(f"duplicate LEXICON {name!r}", *at)
+                entries = lexicons[name] = []
+                mode = "lexicon"
+            # tokens compare by value, and only quoted ones stand before
+            # these words, so remove takes the words themselves
+            for word in words[:1 + (mode == "lexicon")]:
+                toks.remove(word)
+        for tok in toks:
+            if mode == "multichar":
+                if tok.quoted:
+                    raise ParseError(f"quoted {tok.text!r} in "
+                                     "Multichar_Symbols", tok.file, tok.line)
                 try:
-                    table.declare_multichar(f)
+                    table.declare_multichar(tok.text)
                 except SymbolError as exc:
-                    raise ParseError(str(exc), filename, lineno) from None
-                multichar_decls.append(f)
-            continue
-        if mode is None and fields:
-            raise ParseError(
-                f"unexpected {fields[0]!r} before any section", filename, lineno)
-        # entry material, possibly continuing a previous line
-        if gloss is not None:
-            if pending_gloss is not None:
-                raise ParseError("more than one gloss on entry", filename, lineno)
-            pending_gloss = gloss
-        for f in fields:
-            if not pending:
-                pending_file, pending_line = filename, lineno
-            if not _ends_entry(f):
-                pending.append(f)
-                continue
-            if f != ";":
-                pending.append(f[:-1])
-            flush_entry()
-    if pending or pending_gloss is not None:
-        raise ParseError("entry not terminated by ';'", pending_file,
-                         pending_line)
+                    raise ParseError(str(exc), tok.file, tok.line) from None
+                multichar_decls.append(tok.text)
+            elif tok.quoted:
+                if gloss or "\t" in tok.text:  # glosses.tsv is tab-separated
+                    raise ParseError("more than one gloss on entry" if gloss
+                                     else "tab in gloss", tok.file, tok.line)
+                gloss = tok
+            elif mode is None:
+                raise ParseError(f"unexpected {tok.text!r} before any section",
+                                 tok.file, tok.line)
+            else:
+                start = start or tok
+                if not _ends_entry(tok.text):
+                    fields.append(tok.text)
+                    continue
+                if tok.text != ";":
+                    fields.append(tok.text[:-1])
+                entries.append(_entry(fields, gloss, start, table))
+                fields, gloss, start = [], None, None
+    if fields or gloss:
+        raise unterminated()
 
     ast = LexiconAst(multichar_decls, lexicons, table)
     _validate(ast, sources[0][0] if len(sources) == 1 else None)

@@ -218,17 +218,22 @@ def generate(pipeline: Pipeline, analysis: str, max_count: int = 100,
     return _output_texts(pipeline.table, paths)
 
 
-def _attach_glosses(pipeline, texts, relaxed):
-    out = []
-    for text in texts:
+def _analyses(pipeline, paths, relaxed):
+    """One Analysis per distinct output text, its glosses found from the
+    lemma and POS of the output symbols (the text is never re-read)."""
+    table = pipeline.table
+    outputs = {}
+    for _, out in paths.pairs:
+        outputs.setdefault(table.render(out), out)
+    result = []
+    for text, out in sorted(outputs.items()):
         glosses = []
         if pipeline.glosses is not None:
-            ids = _tokenize_strict(pipeline.table, text)
-            lemma, pos = lexc.split_lemma_pos(ids, pipeline.table)
+            lemma, pos = lexc.split_lemma_pos(out, table)
             if pos is not None:
                 glosses = pipeline.glosses.lookup(lemma, pos)
-        out.append(Analysis(text, relaxed, glosses))
-    return out
+        result.append(Analysis(text, relaxed, glosses))
+    return result
 
 
 def analyze(pipeline: Pipeline, surface: str, max_count: int = 100,
@@ -236,15 +241,13 @@ def analyze(pipeline: Pipeline, surface: str, max_count: int = 100,
     """Apply-up: surface form → analyses; falls back to spell-relaxed
     readings (relaxed=True) only when the strict analysis is empty."""
     ids = _tokenize_strict(pipeline.table, surface)
-    strict = _output_texts(pipeline.table, fst.lookup_paths(
-        pipeline.analyzer, ids, max_len, max_count))
-    if strict:
-        return _attach_glosses(pipeline, strict, False)
+    strict = fst.lookup_paths(pipeline.analyzer, ids, max_len, max_count)
+    if strict.pairs:
+        return _analyses(pipeline, strict, False)
     if pipeline.relax is None:
         return []
-    relaxed = _output_texts(pipeline.table, fst.lookup_paths(
-        pipeline.relaxed_analyzer(), ids, max_len, max_count))
-    return _attach_glosses(pipeline, relaxed, True)
+    return _analyses(pipeline, fst.lookup_paths(
+        pipeline.relaxed_analyzer(), ids, max_len, max_count), True)
 
 
 def load_pipeline(lexc_texts, twol_text, mode: str = "pedagogical",

@@ -5,16 +5,23 @@ precomposed spellings of the same grapheme intern to one id.  A '%' in
 source text escapes the next code point; the canonical text of a symbol
 keeps the escaped spelling, while longest-match tokenization runs over
 the unescaped content.  find_unescaped is the one reader of '%' in
-source text: the lexc and twol lexers split lines with it, and _scan
-reads the escapes inside a symbol token.
+source text, and _scan reads the escapes inside a symbol token.
+
+lex_lines is the one lexer of lexc and twol source: it drops each
+line's comment and cuts the rest into tokens, each a "..." quoted
+string or a run of code points up to whitespace, a quote or one of the
+caller's special characters (each a token of its own).  A token
+carries its text, file, line, whether it is glued to the token before
+it on its line, and whether it was quoted.
 """
 
 from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import SymbolError, UnknownSymbolError
+from .errors import ParseError, SymbolError, UnknownSymbolError
 
 EPSILON_ID = 0
 EPSILON_TEXT = "@0@"
@@ -65,6 +72,51 @@ def strip_comment(line: str) -> str:
     return line[:find_unescaped(line, "!".__eq__)]
 
 
+class Token(NamedTuple):
+    text: str
+    file: str
+    line: int
+    glued: bool  # no whitespace between this and the previous token
+    quoted: bool
+
+
+def lex_lines(sources, quote, specials=""):
+    """Yield the tokens of each line of the (filename, text) sources as
+    one list.  A line is cut whole before it is yielded, so an
+    unterminated quote ("unterminated <quote> quote") stops the reader
+    before any token of its line."""
+    stops = set(specials) | {'"'}
+
+    def stop(ch):
+        return ch.isspace() or ch in stops
+
+    for filename, text in sources:
+        for lineno, raw in enumerate(text.splitlines(), 1):
+            line = strip_comment(raw)
+            toks = []
+            i, end = 0, -1  # nothing glues across line starts
+            while i < len(line):
+                ch = line[i]
+                if ch.isspace():
+                    i += 1
+                    continue
+                start = i
+                if ch == '"':
+                    i = line.find('"', start + 1) + 1
+                    if not i:
+                        raise ParseError(f"unterminated {quote} quote",
+                                         filename, lineno)
+                    tok = line[start + 1 : i - 1]
+                else:
+                    i = start + 1 if ch in stops else find_unescaped(
+                        line, stop, start)
+                    tok = line[start:i]
+                toks.append(Token(tok, filename, lineno, start == end,
+                                  ch == '"'))
+                end = i
+            yield toks
+
+
 @dataclass(frozen=True)
 class Symbol:
     id: int
@@ -88,6 +140,7 @@ class SymbolTable:
         self._multichar_ids = set()
         # unescaped content -> id, for longest-match tokenization
         self._contents = {}
+        self._max_content = 1  # the longest content, for tokenize
         self._pair_parts = {}  # pair-symbol id -> (upper id, lower id)
         self._frozen = False
 
@@ -126,6 +179,7 @@ class SymbolTable:
             return self._symbols[existing]
         sym = self.intern(text, multichar=True)
         self._contents[content] = sym.id
+        self._max_content = max(self._max_content, len(content))
         return sym
 
     def content_id(self, text: str):
@@ -195,7 +249,7 @@ class SymbolTable:
         out = []
         i = 0
         n = len(content)
-        max_len = max((len(c) for c in self._contents), default=1)
+        max_len = self._max_content
         while i < n:
             match_id = None
             for length in range(min(max_len, n - i), 1, -1):
@@ -223,10 +277,11 @@ class SymbolTable:
 
     def pair_symbol(self, upper: int, lower: int) -> Symbol:
         """Intern the composite "upper:lower" symbol (epsilon spelled "0",
-        a '%' side "%%", so that the text unescapes as a multichar)."""
+        a '%', ':' or '0' side with a '%' before it, so that the text
+        unescapes as a multichar and splits at its one unescaped ':')."""
         def side(sid):
             text = "0" if sid == EPSILON_ID else self.resolve(sid)
-            return "%%" if text == "%" else text
+            return "%" + text if sid and text in ("%", ":", "0") else text
 
         sym = self.intern(f"{side(upper)}:{side(lower)}", multichar=True)
         self._pair_parts[sym.id] = (upper, lower)

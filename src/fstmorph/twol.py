@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 from . import fst
 from .errors import ParseError, FstMorphError, SymbolError
-from .symbols import (EPSILON_ID, SymbolTable, find_unescaped, nfc,
-                      strip_comment, unescape)
+from .symbols import (EPSILON_ID, SymbolTable, find_unescaped, lex_lines,
+                      nfc, unescape)
 
 OPERATORS = ("=>", "<=", "<=>", "/<=")
 
@@ -124,47 +124,9 @@ class RuleSet:
 
 
 # ---------------------------------------------------------------------------
-# source tokenizer / parser
+# source parser (the tokens come from symbols.lex_lines)
 
-_SPECIALS = set("()|*+?_;\"")
-
-
-@dataclass(frozen=True)
-class _Tok:
-    text: str
-    line: int
-    glued: bool  # no whitespace between this and the previous token
-    quoted: bool = False
-
-
-def _lex(source):
-    toks = []
-    for lineno, raw in enumerate(source.splitlines(), 1):
-        line = strip_comment(raw)
-        i = 0
-        prev_end = -2  # nothing glues across line starts
-        while i < len(line):
-            ch = line[i]
-            if ch.isspace():
-                i += 1
-                continue
-            glued = i == prev_end
-            if ch == '"':
-                j = line.find('"', i + 1)
-                if j < 0:
-                    raise ParseError("unterminated rule name quote", line=lineno)
-                toks.append(_Tok(line[i + 1 : j], lineno, glued, quoted=True))
-                i = j + 1
-            elif ch in _SPECIALS:
-                toks.append(_Tok(ch, lineno, glued))
-                i += 1
-            else:
-                j = find_unescaped(
-                    line, lambda c: c.isspace() or c in _SPECIALS, i)
-                toks.append(_Tok(line[i:j], lineno, glued))
-                i = j
-            prev_end = i
-    return toks
+_SPECIALS = "()|*+?_;"
 
 
 def _split_pair_token(text):
@@ -179,8 +141,10 @@ def _split_pair_token(text):
 
 class _Parser:
     def __init__(self, source, table, filename=None):
-        self.toks = _lex(source)
+        lines = lex_lines([(filename, source)], "rule name", _SPECIALS)
+        self.toks = [tok for line in lines for tok in line]
         self.pos = 0
+        self.end = len(self.toks)  # a context regex reads up to its '_' or ';'
         self.table = table
         self.filename = filename
         self.sets = {}
@@ -194,11 +158,14 @@ class _Parser:
         raise ParseError(msg, filename=self.filename, line=line)
 
     def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
+        return self.toks[self.pos] if self.pos < self.end else None
 
     def next(self):
         tok = self.peek()
         if tok is None:
+            if self.end < len(self.toks):  # at the '_' or ';' of a context
+                self.err("unexpected end of context regex",
+                         self.toks[self.end])
             raise ParseError("unexpected end of rule file", filename=self.filename)
         self.pos += 1
         return tok
@@ -307,77 +274,75 @@ class _Parser:
     # -- context regexes ---------------------------------------------------
 
     def parse_context(self):
-        left_toks, right_toks = [], []
-        side = left_toks
-        seen_slot = False
+        start, slot = self.pos, None
         while True:
             tok = self.next()
             if tok.text == ";" and not tok.quoted:
                 break
             if tok.text == "_" and not tok.quoted:
-                if seen_slot:
+                if slot is not None:
                     self.err("more than one '_' in context", tok)
-                seen_slot = True
-                side = right_toks
-                continue
-            side.append(tok)
-        if not seen_slot:
+                slot = self.pos - 1
+        if slot is None:
             self.err("context lacks '_' slot")
-        return (self._regex(left_toks), self._regex(right_toks))
+        semi = self.pos - 1
+        sides = self._regex(start, slot), self._regex(slot + 1, semi)
+        self.pos, self.end = semi + 1, len(self.toks)
+        return sides
 
-    def _regex(self, toks):
-        if not toks:
+    def _regex(self, start, end):
+        """The regex of the tokens start..end-1."""
+        if start == end:
             return EPSILON_RE
-        stream = _TokStream(toks, self)
-        node = self._alt(stream)
-        if stream.peek() is not None:
-            self.err(f"unexpected {stream.peek().text!r} in context regex",
-                     stream.peek())
+        self.pos, self.end = start, end
+        node = self._alt()
+        if self.peek() is not None:
+            self.err(f"unexpected {self.peek().text!r} in context regex",
+                     self.peek())
         return node
 
-    def _alt(self, stream):
-        branches = [self._seq(stream)]
-        while stream.peek() is not None and stream.peek().text == "|":
-            stream.next()
-            branches.append(self._seq(stream))
+    def _alt(self):
+        branches = [self._seq()]
+        while self.peek() is not None and self.peek().text == "|":
+            self.next()
+            branches.append(self._seq())
         return branches[0] if len(branches) == 1 else Alt(tuple(branches))
 
-    def _seq(self, stream):
+    def _seq(self):
         items = []
         while True:
-            tok = stream.peek()
+            tok = self.peek()
             if tok is None or tok.text in (")", "|"):
                 break
-            items.append(self._factor(stream))
+            items.append(self._factor())
         if len(items) == 1:
             return items[0]
         return Seq(tuple(items))
 
-    def _factor(self, stream):
-        node = self._atom(stream)
+    def _factor(self):
+        node = self._atom()
         while True:
-            tok = stream.peek()
+            tok = self.peek()
             if tok is None:
                 break
             if tok.text == "*":
-                stream.next()
+                self.next()
                 node = Star(node)
             elif tok.text == "+":
-                stream.next()
+                self.next()
                 node = Plus(node)
             elif tok.text == "?" and tok.glued:
-                stream.next()
+                self.next()
                 node = Opt(node)
             else:
                 break
         return node
 
-    def _atom(self, stream):
-        tok = stream.next()
+    def _atom(self):
+        tok = self.next()
         if tok.text == "(":
-            node = self._alt(stream)
-            closing = stream.next()
-            if closing is None or closing.text != ")":
+            node = self._alt()
+            if self.next().text != ")":
                 self.err("unbalanced '(' in context regex", tok)
             return node
         if tok.text == "?":
@@ -403,23 +368,6 @@ class _Parser:
         if sid is None:
             self.err(f"unknown set or symbol {text!r}", tok)
         return sid
-
-
-class _TokStream:
-    def __init__(self, toks, parser):
-        self.toks = toks
-        self.i = 0
-        self.parser = parser
-
-    def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def next(self):
-        tok = self.peek()
-        if tok is None:
-            self.parser.err("unexpected end of context regex")
-        self.i += 1
-        return tok
 
 
 def parse_twol(source: str, table: SymbolTable = None,

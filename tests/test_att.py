@@ -1,7 +1,7 @@
 import pytest
 
-from fstmorph import att, fst
-from fstmorph.errors import ParseError
+from fstmorph import att, fst, lookup, twol
+from fstmorph.errors import ParseError, UnknownSymbolError
 from fstmorph.symbols import EPSILON_ID, EPSILON_TEXT, SymbolTable
 
 
@@ -96,3 +96,29 @@ def test_percent_symbol_survives_the_sidecar():
     assert att.export_symbols(restored) == text
     assert restored.resolve(pct) == "%"
     assert [s.id for s in restored.tokenize("%%")] == [pct]
+
+
+def test_pair_symbols_read_back_as_pairs():
+    pipe = lookup.load_pipeline(["LEXICON Root\na # ;\n"], "Alphabet a b ;")
+    table = pipe.table
+    restored = att.import_symbols(att.export_symbols(table))
+    for t in (table, restored):
+        with pytest.raises(UnknownSymbolError):
+            t.tokenize("a:a", intern_new=False)
+    pairs = [s.id for s in table.symbols() if table.is_pair_symbol(s.id)]
+    assert pairs
+    assert [restored.pair_parts(p) for p in pairs] == [
+        table.pair_parts(p) for p in pairs]
+
+
+def test_pair_sides_that_need_escapes_stay_apart():
+    # ':' and '0' sides are spelled "%:" and "%0", so a literal 0 is not
+    # epsilon and each text splits at its one unescaped ':'
+    rules = twol.parse_twol("Alphabet\n a %0:a 0:a %::b b:%: %%:0 ;\n")
+    table = rules.table
+    pids = rules.alphabet.pair_ids()
+    assert len(set(pids)) == len(pids)
+    text = att.export_symbols(table)
+    restored = att.import_symbols(text)
+    assert att.export_symbols(restored) == text
+    assert [restored.pair_parts(p) for p in pids] == rules.alphabet.pairs

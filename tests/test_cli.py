@@ -281,3 +281,17 @@ def test_import_att_rejects_a_signed_state_number(artifacts, tmp_path,
     assert cli.main(["import-att", str(att_file),
                      "--symbols", str(artifacts / "symbols.tsv")]) == 2
     assert "1: bad state number" in capsys.readouterr().err
+
+
+def test_lookup_up_of_a_percent_symbol(tmp_path, capsys, monkeypatch):
+    lexicon = tmp_path / "pct.lexc"
+    lexicon.write_text("LEXICON Root\npct%% # ;\n", encoding="utf-8")
+    rules = tmp_path / "pct.twol"
+    rules.write_text("Alphabet\n p c t %% ;\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert cli.main(["compile", str(lexicon), "--rules", str(rules),
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run(["lookup", str(out), "--direction", "up"], "pct%%\n",
+               monkeypatch) == 0
+    assert capsys.readouterr().out == "pct%%\tpct%\n"

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from fstmorph import fst, lexc
@@ -157,3 +159,121 @@ def test_bad_escapes_are_located():
         lexc.parse_lexc("LEXICON Root\nbad%\n # ;\n", filename="x.lexc")
     with pytest.raises(ParseError, match=r"^1: dangling '%'"):
         lexc.parse_lexc("Multichar_Symbols +N %\nLEXICON Root\n# ;\n")
+
+
+def entries(ast):
+    return {name: [(e.analysis_text, e.contlex, e.gloss, e.line)
+                   for e in es] for name, es in ast.lexicons.items()}
+
+
+def test_gloss_belongs_to_the_entry_it_stands_in():
+    ast = lexc.parse_lexc('LEXICON Root\na # ; b # "g" ;')
+    assert entries(ast) == {"Root": [("a", "#", None, 2), ("b", "#", "g", 2)]}
+
+
+def test_entries_on_one_line_each_keep_their_gloss():
+    ast = lexc.parse_lexc('LEXICON Root\na # "g1" ; b # "g2" ;')
+    assert [e.gloss for e in ast.root] == ["g1", "g2"]
+
+
+def test_entry_open_at_a_keyword_is_an_error():
+    with pytest.raises(ParseError, match=r"^2: entry not terminated by ';'"):
+        lexc.parse_lexc("LEXICON Root\na\nLEXICON B\n# ;")
+    with pytest.raises(ParseError, match=r"^3: entry not terminated by ';'"):
+        lexc.parse_lexc('LEXICON Root\na # ;\n"g"\nMultichar_Symbols +N\n')
+
+
+def test_quoted_multichar_symbol_is_an_error():
+    with pytest.raises(ParseError, match=r"^1: quoted 'foo' in Multichar_"):
+        lexc.parse_lexc('Multichar_Symbols "foo" +N\nLEXICON Root\n# ;\n')
+
+
+def test_gloss_after_the_last_terminator_is_an_open_entry():
+    with pytest.raises(ParseError, match=r"^x:2: entry not terminated"):
+        lexc.parse_lexc('LEXICON Root\na # ; "g"\n', filename="x")
+
+
+_MULTICHARS = ["+N", "+Sg", "%^X", "%{ie%}", "+Pl%;"]
+_GLOSSES = ["g", "two words", "semi;colon", "bang%", ""]
+
+
+def _random_lexicon(r):
+    """Multichar declarations and lexicons of token lists, one list per
+    entry, each a valid entry with an optional gloss anywhere in it."""
+    multis = r.sample(_MULTICHARS, r.randint(1, len(_MULTICHARS)))
+    names = ["Root"] + r.sample(["A", "B", "C"], r.randint(0, 3))
+
+    def side():
+        atoms = list("abc") + multis + ["%%", "%;", "%!", "% ", '%"', "%:"]
+        return "".join(r.choice(atoms) for _ in range(r.randint(1, 3)))
+
+    lexicons = []
+    for name in names:
+        body = []
+        for _ in range(r.randint(1, 4)):
+            toks = []
+            if r.random() < 0.8:
+                toks.append(side() + (":" + side() if r.random() < 0.5
+                                      else ""))
+            toks.append(r.choice(names + ["#"]))
+            if r.random() < 0.5:
+                toks.insert(r.randint(0, len(toks)),
+                            '"' + r.choice(_GLOSSES) + '"')
+            if r.random() < 0.5 and not toks[-1].startswith('"'):
+                toks[-1] += ";"
+            else:
+                toks.append(";")
+            body.append(toks)
+        lexicons.append((name, body))
+    return multis, lexicons
+
+
+def _layout(r, multis, lexicons, canonical):
+    def sep():
+        if canonical:
+            return " "
+        return r.choice([" ", "  ", "\t", "\n", "\n\n", " ! a \"; b\n",
+                         "\n  \t"])
+
+    lines = ["Multichar_Symbols " + "".join(m + sep() for m in multis)]
+    for name, body in lexicons:
+        lines.append(f"\nLEXICON {name}\n")
+        for toks in body:
+            text = ""
+            for i, tok in enumerate(toks):
+                glue = (tok.startswith('"') or toks[i - 1].startswith('"')
+                        ) and not canonical and r.random() < 0.3
+                text += ("" if i == 0 or glue else sep()) + tok
+            lines.append(text + ("\n" if canonical else sep()))
+    return "".join(lines)
+
+
+def _split(r, text):
+    lines = text.split("\n")
+    cuts = sorted(r.sample(range(1, len(lines)), r.randint(0, 2)))
+    bounds = [0] + cuts + [len(lines)]
+    return [(f"s{k}.lexc", "\n".join(lines[a:b]) + "\n")
+            for k, (a, b) in enumerate(zip(bounds, bounds[1:]))]
+
+
+def test_layout_does_not_change_the_parse():
+    # entries may break anywhere between tokens and run across sources;
+    # they parse to the entries of the one-entry-per-line layout
+    def parsed(sources):
+        ast = lexc.parse_lexc(sources)
+        table = ast.table
+        return (ast.multichar_decls,
+                {name: [(e.analysis, e.surface, e.contlex, e.gloss,
+                         e.analysis_text, e.surface_text) for e in es]
+                 for name, es in ast.lexicons.items()},
+                [(s.text, table.is_multichar(s.id))
+                 for s in table.symbols()])
+
+    r = random.Random(20261018)
+    for _ in range(200):
+        multis, lexicons = _random_lexicon(r)
+        canonical = parsed([(None, _layout(r, multis, lexicons, True))])
+        assert sum(map(len, canonical[1].values())) == sum(
+            len(body) for _, body in lexicons)
+        assert parsed(_split(r, _layout(r, multis, lexicons, False))) \
+            == canonical

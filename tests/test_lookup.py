@@ -218,3 +218,14 @@ def test_percent_symbol_in_lexicon_and_mapping():
     assert spec == [(table.id_of("t"), [table.id_of("%")])]
     text = lookup.format_mapping_file(spec, table)
     assert lookup.parse_mapping_file(text, table) == spec
+
+
+def test_analysis_holding_a_percent_symbol_gets_its_glosses():
+    pipe = lookup.load_pipeline(["LEXICON Root\npct%% # ;\n"],
+                                "Alphabet\n p c t %% ;\n")
+    assert [a.text for a in lookup.analyze(pipe, "pct%%")] == ["pct%"]
+    pipe = lookup.load_pipeline(
+        ['Multichar_Symbols +N\nLEXICON Root\npct%%+N:pct%% # "per" ;\n'],
+        "Alphabet\n p c t %% +N:0 ;\n")
+    (analysis,) = lookup.analyze(pipe, "pct%%")
+    assert (analysis.text, analysis.glosses) == ("pct%+N", ["per"])

@@ -237,3 +237,10 @@ def test_bad_escapes_are_located():
     for source, line in sources:
         with pytest.raises(ParseError, match=rf"^r\.twol:{line}: dangling"):
             twol.parse_twol(source, filename="r.twol")
+
+
+def test_lexer_errors_name_their_file():
+    with pytest.raises(ParseError,
+                       match=r"^r\.twol:4: unterminated rule name quote"):
+        twol.parse_twol('Alphabet\n a ;\nRules\n"R a => _ ;\n',
+                        filename="r.twol")
