@@ -21,16 +21,31 @@ pure-epsilon states have the same futures and the same finality, so
 merging them loses nothing, and it makes Brzozowski's theorem hold
 exactly: determinize(reverse(d)) of an accessible DFA d is minimal.
 
-minimize refines the partition of the partial DFA, with no sink state.
-A missing arc then counts in no predecessor set, so the final and the
-nonfinal block each split states the other cannot, and both start in
-Hopcroft's work set.
+A flagged machine also has transition maps, one {label: dst} dict per
+state, built from its arcs on first use and kept like the arcs_from
+lists; intersect, complement and minimize read them.
+
+_minimal is the one refine-and-number core.  It takes a reachable DFA
+as per-state maps, drops the states that reach no final, refines the
+rest with Hopcroft and numbers the quotient through _trim.  Dropping
+dead states first is what makes refining a partial DFA exact: with no
+sink state, a live state with an arc into a dead state would stay apart
+from an equivalent state without that arc.  A missing arc counts in no
+predecessor set, so the final and the nonfinal block each split states
+the other cannot, and both start in Hopcroft's work set.  minimize is
+determinize followed by _minimal.  intersect hands its raw reachable
+pair product to _minimal without trimming it first, so it returns the
+minimal DFA of the intersection; the minimal DFA is unique and _trim's
+numbering canonical, so that is the machine minimize would make of any
+DFA of the same language.
 
 Every construction that explores its states lazily from a start key
 goes through _explore: determinize (subsets), intersect (DFA state
 pairs), compose (state pairs with an epsilon-filter state) and
 complement (DFA states and a sink).  Each gives only expand(key), the
-key's finality and moves; _explore numbers the keys and trims.
+key's finality and moves; _explore numbers the reachable keys, and the
+caller trims them with _trim or, in intersect, refines them with
+_minimal.
 
 _trim walks forward once.  It marks the states co-reachable over all
 arcs, then renumbers by BFS from the start along arcs into marked
@@ -51,7 +66,7 @@ class Transducer:
     """States 0..num_states-1, arcs (src, in, out, dst), one start state."""
 
     __slots__ = ("table", "num_states", "start", "finals", "arcs",
-                 "deterministic", "_adj", "_by_input")
+                 "deterministic", "_adj", "_by_input", "_steps")
 
     def __init__(self, table, num_states, start, finals, arcs,
                  deterministic=False):
@@ -63,6 +78,7 @@ class Transducer:
         self.deterministic = deterministic
         self._adj = None
         self._by_input = None
+        self._steps = None
         assert start < num_states
         assert all(s < num_states for s in self.finals)
         assert all(a[0] < num_states and a[3] < num_states for a in self.arcs)
@@ -84,6 +100,14 @@ class Transducer:
                 index.setdefault((a[0], a[1]), []).append(a)
             self._by_input = index
         return self._by_input
+
+    def _transitions(self):
+        """Per-state {label: dst} maps of a machine flagged
+        deterministic; built on first use and kept."""
+        assert self.deterministic
+        if self._steps is None:
+            self._steps = _step_maps(self.num_states, self.arcs)
+        return self._steps
 
     def is_acceptor(self):
         return all(i == o for _, i, o, _ in self.arcs)
@@ -124,21 +148,29 @@ def _require_acceptor(*ts):
             raise NotAnAcceptorError("operation requires an acceptor (in == out)")
 
 
+def _step_maps(num_states, arcs):
+    """Per-state {label: dst} maps of the arcs of a DFA acceptor."""
+    steps = [{} for _ in range(num_states)]
+    for s, i, _, d in arcs:
+        steps[s][i] = d
+    return steps
+
+
 def _trim(table, num_states, start, finals, arcs, deterministic=False):
     """Keep the states on some path from start to a final, renumbered in
     BFS order from the start state, taking each state's arcs in (in,
     out, dst) order; the arcs come out sorted.  deterministic marks the
     result as a DFA: set it only where the construction guarantees an
     acceptor with no epsilon arc and one arc per state and label."""
-    out = {}
-    bwd = {}
+    out = [[] for _ in range(num_states)]
+    bwd = [[] for _ in range(num_states)]
     for a in arcs:
-        out.setdefault(a[0], []).append(a)
-        bwd.setdefault(a[3], []).append(a[0])
+        out[a[0]].append(a)
+        bwd[a[3]].append(a[0])
     coreach = set(finals)
     stack = list(coreach)
     while stack:
-        for p in bwd.get(stack.pop(), ()):
+        for p in bwd[stack.pop()]:
             if p not in coreach:
                 coreach.add(p)
                 stack.append(p)
@@ -146,13 +178,15 @@ def _trim(table, num_states, start, finals, arcs, deterministic=False):
     queue = [start]
     new_arcs = []
     for s in queue:  # grows while it is walked: BFS in new-id order
-        lst = sorted([a for a in out.get(s, ()) if a[3] in coreach])
-        for a in lst:
-            if a[3] not in order:
-                order[a[3]] = len(order)
-                queue.append(a[3])
         src = order[s]
-        run = [(src, i, o, order[d]) for _, i, o, d in lst]
+        run = []
+        for _, i, o, d in sorted(out[s]):
+            if d in coreach:
+                new = order.get(d)
+                if new is None:
+                    new = order[d] = len(queue)
+                    queue.append(d)
+                run.append((src, i, o, new))
         run.sort()
         new_arcs += run
     new_finals = {order[s] for s in finals if s in order}
@@ -160,9 +194,9 @@ def _trim(table, num_states, start, finals, arcs, deterministic=False):
                       deterministic)
 
 
-def _explore(table, start, expand, deterministic=False):
-    """The trimmed machine whose states are the keys reachable from
-    start.  expand(key) gives (is_final, [(in, out, next key), ...]);
+def _explore(start, expand):
+    """Number the keys reachable from start: (num_states, finals, arcs),
+    untrimmed.  expand(key) gives (is_final, [(in, out, next key), ...]);
     each key is numbered when first met, start as 0, and expanded once,
     its arcs kept in the order expand lists them."""
     index = {start: 0}
@@ -179,7 +213,7 @@ def _explore(table, start, expand, deterministic=False):
                 dst = index[nxt] = len(queue)
                 queue.append(nxt)
             arcs.append((src, i, o, dst))
-    return _trim(table, len(queue), 0, finals, arcs, deterministic)
+    return len(queue), finals, arcs
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +358,8 @@ def compose(a: Transducer, b: Transducer) -> Transducer:
                 moves.append((EPSILON_ID, o2, (s1, d2, 2)))
         return s1 in a.finals and s2 in b.finals, moves
 
-    return _explore(a.table, (a.start, b.start, 0), expand)
+    n, finals, arcs = _explore((a.start, b.start, 0), expand)
+    return _trim(a.table, n, 0, finals, arcs)
 
 
 # ---------------------------------------------------------------------------
@@ -375,26 +410,40 @@ def determinize(a: Transducer) -> Transducer:
         return (bool(cur & a.finals),
                 [(lab, lab, closure(moves[lab])) for lab in sorted(moves)])
 
-    return _explore(a.table, closure({a.start}), expand, deterministic=True)
+    n, finals, arcs = _explore(closure({a.start}), expand)
+    return _trim(a.table, n, 0, finals, arcs, deterministic=True)
 
 
-def minimize(a: Transducer) -> Transducer:
-    """Hopcroft partition refinement on the determinized acceptor, over
-    its partial transition function (Valmari & Lehtinen 2008): no sink
-    state, and predecessors are read from the arcs.  A state with no
-    arc on a label is in no predecessor set, so neither initial block
-    is implied by the other: both start in the work set.  A split
-    block keeps the larger part and the smaller one is queued; if the
-    block was queued already, both parts are now."""
-    _require_acceptor(a)
-    d = determinize(a)
-    preds = [[] for _ in range(d.num_states)]
-    for src, i, _, dst in d.arcs:
-        preds[dst].append((i, src))
-    finals = set(d.finals)
-    nonfinals = set(range(d.num_states)) - finals
-    partition = [s for s in (finals, nonfinals) if s]
-    block_of = [0] * d.num_states
+def _minimal(table, start, finals, steps):
+    """The minimal DFA of the reachable DFA with per-state {label: dst}
+    maps steps, numbered by _trim; dead states go first (see the module
+    docstring).
+
+    Hopcroft refines the live states over the partial transition
+    function (Valmari & Lehtinen 2008), reading predecessors from the
+    maps.  A split block keeps the larger part and the smaller one is
+    queued; if the block was queued already, both parts are now.  Only
+    the smaller part gets a new block number, and a split builds no more
+    than twice the states that hit the block, so it costs the size of
+    the hit, not of the block."""
+    preds = [{} for _ in steps]  # per state, {label: [predecessors]}
+    for p, step in enumerate(steps):
+        for c, q in step.items():
+            into = preds[q]
+            if c in into:
+                into[c].append(p)
+            else:
+                into[c] = [p]
+    live = set(finals)
+    stack = list(live)
+    while stack:
+        for ps in preds[stack.pop()].values():
+            for p in ps:
+                if p not in live:
+                    live.add(p)
+                    stack.append(p)
+    partition = [s for s in (set(finals), live - finals) if s]
+    block_of = [-1] * len(steps)
     for b, block in enumerate(partition):
         for q in block:
             block_of[q] = b
@@ -402,28 +451,53 @@ def minimize(a: Transducer) -> Transducer:
     while work:
         by_label = {}
         for q in partition[work.pop()]:
-            for c, p in preds[q]:
-                by_label.setdefault(c, []).append(p)
+            for c, ps in preds[q].items():
+                if c in by_label:
+                    by_label[c] += ps
+                else:
+                    by_label[c] = list(ps)
         for hits in by_label.values():
             touched = {}
             for p in hits:
-                touched.setdefault(block_of[p], set()).add(p)
+                b = block_of[p]
+                if b in touched:
+                    touched[b].append(p)
+                elif len(partition[b]) > 1:  # a singleton cannot split
+                    touched[b] = [p]
             for b, hit in touched.items():
-                if len(hit) == len(partition[b]):
+                block = partition[b]
+                if len(hit) == len(block):
                     continue
-                rest = partition[b] - hit
-                small, partition[b] = (hit, rest) if len(hit) <= len(rest) \
-                    else (rest, hit)
+                if 2 * len(hit) <= len(block):
+                    small = set(hit)
+                    block -= small
+                else:
+                    small = block.difference(hit)
+                    partition[b] = set(hit)
                 new_idx = len(partition)
                 partition.append(small)
                 for q in small:
                     block_of[q] = new_idx
                 work.add(new_idx)
 
-    arcs = {(block_of[src], i, i, block_of[dst])
-            for src, i, _, dst in d.arcs}
-    return _trim(a.table, len(partition), block_of[d.start],
-                 {block_of[q] for q in d.finals}, arcs, deterministic=True)
+    if not partition:  # no final is reachable: the empty machine
+        return _trim(table, 1, 0, (), (), deterministic=True)
+    arcs = []
+    for b, block in enumerate(partition):
+        # any state of a block stands for it: their live arcs agree
+        arcs += [(b, c, c, block_of[q])
+                 for c, q in steps[next(iter(block))].items()
+                 if block_of[q] >= 0]
+    return _trim(table, len(partition), block_of[start],
+                 {block_of[q] for q in finals}, arcs, deterministic=True)
+
+
+def minimize(a: Transducer) -> Transducer:
+    """The minimal DFA of the acceptor a: determinize, then refine
+    (see _minimal)."""
+    _require_acceptor(a)
+    d = determinize(a)
+    return _minimal(a.table, d.start, d.finals, d._transitions())
 
 
 def complement(a: Transducer, alphabet) -> Transducer:
@@ -434,29 +508,36 @@ def complement(a: Transducer, alphabet) -> Transducer:
     if EPSILON_ID in alphabet:
         raise ValueError("epsilon cannot be a complement alphabet member")
     d = determinize(a)
+    steps = d._transitions()
     sink = d.num_states  # a key that no state of d has
 
     def expand(q):
-        step = {} if q == sink else {i: t for _, i, _, t in d.arcs_from(q)}
+        step = steps[q] if q != sink else {}
         return (q not in d.finals,
                 [(lab, lab, step.get(lab, sink)) for lab in alphabet])
 
-    return _explore(d.table, d.start, expand, deterministic=True)
+    n, finals, arcs = _explore(d.start, expand)
+    return _trim(d.table, n, 0, finals, arcs, deterministic=True)
 
 
 def intersect(a: Transducer, b: Transducer) -> Transducer:
+    """The minimal DFA of L(a) & L(b): the reachable pair product of
+    their DFAs, refined by _minimal without being trimmed first."""
     _check_tables(a, b)
     _require_acceptor(a, b)
     da, db = determinize(a), determinize(b)
+    steps_a, steps_b = da._transitions(), db._transitions()
+    width = db.num_states  # the pair (s1, s2) is keyed s1 * width + s2
 
     def expand(key):
-        s1, s2 = key
-        step2 = {i: t for _, i, _, t in db.arcs_from(s2)}
+        s1, s2 = divmod(key, width)
+        step2 = steps_b[s2]
         return (s1 in da.finals and s2 in db.finals,
-                [(i, i, (t1, step2[i])) for _, i, _, t1 in da.arcs_from(s1)
-                 if i in step2])
+                [(i, i, t1 * width + step2[i])
+                 for i, t1 in steps_a[s1].items() if i in step2])
 
-    return _explore(a.table, (da.start, db.start), expand, deterministic=True)
+    n, finals, arcs = _explore(da.start * width + db.start, expand)
+    return _minimal(a.table, 0, finals, _step_maps(n, arcs))
 
 
 def difference(a: Transducer, b: Transducer, alphabet) -> Transducer:

@@ -170,6 +170,12 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def peek_op(self):
+        """The next token's text if it can be an operator (it is there and
+        not quoted), else None: a quoted token is always a symbol."""
+        tok = self.peek()
+        return None if tok is None or tok.quoted else tok.text
+
     def expect(self, text):
         tok = self.next()
         if tok.text != text or tok.quoted:
@@ -257,19 +263,25 @@ class _Parser:
             r = (self._symbol_or_eps(r_txt, center_tok)
                  if r_txt is not None else l)
             op_tok = self.next()
-            if op_tok.text not in OPERATORS:
+            if op_tok.quoted or op_tok.text not in OPERATORS:
                 self.err(f"expected rule operator, got {op_tok.text!r}", op_tok)
             contexts = []
-            while True:
-                nxt = self.peek()
-                if nxt is None or nxt.quoted:
-                    break
+            while self.peek() is not None and not self._rule_starts():
                 contexts.append(self.parse_context())
             if not contexts:
                 self.err(f"rule {name_tok.text!r} has no contexts", name_tok)
             rules.append(TwolRule(name_tok.text, (l, r), op_tok.text,
                                   contexts, name_tok.line))
         return rules
+
+    def _rule_starts(self):
+        """Does a rule open at the next token: a quoted name followed by
+        a center and an unquoted rule operator?"""
+        k = self.pos
+        if k + 2 >= len(self.toks):
+            return False
+        name, op = self.toks[k], self.toks[k + 2]
+        return name.quoted and not op.quoted and op.text in OPERATORS
 
     # -- context regexes ---------------------------------------------------
 
@@ -303,7 +315,7 @@ class _Parser:
 
     def _alt(self):
         branches = [self._seq()]
-        while self.peek() is not None and self.peek().text == "|":
+        while self.peek_op() == "|":
             self.next()
             branches.append(self._seq())
         return branches[0] if len(branches) == 1 else Alt(tuple(branches))
@@ -311,8 +323,7 @@ class _Parser:
     def _seq(self):
         items = []
         while True:
-            tok = self.peek()
-            if tok is None or tok.text in (")", "|"):
+            if self.peek() is None or self.peek_op() in (")", "|"):
                 break
             items.append(self._factor())
         if len(items) == 1:
@@ -322,16 +333,14 @@ class _Parser:
     def _factor(self):
         node = self._atom()
         while True:
-            tok = self.peek()
-            if tok is None:
-                break
-            if tok.text == "*":
+            op = self.peek_op()
+            if op == "*":
                 self.next()
                 node = Star(node)
-            elif tok.text == "+":
+            elif op == "+":
                 self.next()
                 node = Plus(node)
-            elif tok.text == "?" and tok.glued:
+            elif op == "?" and self.peek().glued:
                 self.next()
                 node = Opt(node)
             else:
@@ -340,14 +349,16 @@ class _Parser:
 
     def _atom(self):
         tok = self.next()
-        if tok.text == "(":
+        op = None if tok.quoted else tok.text
+        if op == "(":
             node = self._alt()
-            if self.next().text != ")":
+            close = self.next()
+            if close.quoted or close.text != ")":
                 self.err("unbalanced '(' in context regex", tok)
             return node
-        if tok.text == "?":
+        if op == "?":
             return Atom(None, None)
-        if tok.text in ("*", "+", "|", ")"):
+        if op in ("*", "+", "|", ")"):
             self.err(f"misplaced {tok.text!r} in context regex", tok)
         l_txt, r_txt = _split_pair_token(tok.text)
         return Atom(self._side_spec(l_txt, tok),
@@ -584,9 +595,10 @@ def combine_rules(ruleset: RuleSet, strategy: str = "direct",
     """Intersection of all compiled rule acceptors over the pair alphabet.
 
     A domain acceptor over the same pairs, when given, starts the fold,
-    so every intermediate automaton stays domain-sized.  The fold ends
-    each step in minimize, and a compiled rule is minimal already, so
-    the result of more than one machine is minimal.  `reversed` folds
+    so every intermediate automaton stays domain-sized.  Each fold step
+    is one intersect, which returns the minimal DFA of the two
+    languages, and a compiled rule is minimal already, so the result of
+    more than one machine is minimal.  `reversed` folds
     the reversed machines and reverses the result back: by Brzozowski's
     theorem, determinize(reverse(d)) of an accessible DFA d is minimal,
     so both strategies give the same machine.  Without a domain, warns
@@ -602,7 +614,7 @@ def combine_rules(ruleset: RuleSet, strategy: str = "direct",
     def fold(ms):
         acc = ms[0]
         for m in ms[1:]:
-            acc = fst.minimize(fst.intersect(acc, m))
+            acc = fst.intersect(acc, m)
         return acc
 
     if strategy == "reversed" and len(machines) > 1:

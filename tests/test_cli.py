@@ -1,12 +1,19 @@
 import hashlib
 import io
 import json
+import pathlib
+import sys
 
 import pytest
 
 from fstmorph import cli, testkit
 
 from conftest import FIXTURE_DIR
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent
+                       / "bench"))
+
+import inputs  # noqa: E402
 
 
 def fixture_args():
@@ -79,6 +86,32 @@ def test_fixture_artifacts_are_pinned(artifacts, tmp_path):
         for name, digest in ARTIFACT_DIGESTS.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() \
                 == digest, (out.name, name)
+
+
+# SHA-256 of the artifacts of the benchmark's seed-1 synthetic grammar
+# (bench/inputs.py), built with its orthography and relax map; both
+# strategies give these bytes
+SYNTH_DIGESTS = {
+    "generator.att":
+        "540c1cd7e0d293e057dae20e07d1b11206775aea9660172a82d4bf32772fa4ae",
+    "analyzer.att":
+        "8ddc85a76c991ab7460ea8e81ff8f1e936288ae099af011b11763652ad11401f",
+}
+
+
+def test_synthetic_artifacts_are_pinned(tmp_path):
+    files = inputs.write_synth_grammar(1, tmp_path / "grammar").files
+    sources = [str(files["roots.lexc"]), str(files["affixes.lexc"]),
+               "--rules", str(files["phonology.twol"]),
+               "--orthography", str(files["orthography.tsv"]),
+               "--relax", str(files["relax.tsv"])]
+    for strategy in ("direct", "reversed"):
+        out = tmp_path / strategy
+        assert cli.main(["compile", *sources, "--strategy", strategy,
+                         "--out", str(out)]) == 0
+        for name, digest in SYNTH_DIGESTS.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() \
+                == digest, (strategy, name)
 
 
 def test_lookup_down(artifacts, capsys, monkeypatch):

@@ -171,6 +171,58 @@ def test_brzozowski_determinize_of_reverse_is_minimal(table):
             (m.num_states, m.start, m.finals, m.arcs)
 
 
+def pair_product(a, b):
+    """The pair product of the DFAs of a and b over the pairs reachable
+    from their starts, from their arcs alone and not trimmed."""
+    da, db = fst.determinize(a), fst.determinize(b)
+    step_b = {(s, i): d for s, i, _, d in db.arcs}
+    index = {(da.start, db.start): 0}
+    queue = [(da.start, db.start)]
+    arcs = []
+    for p, q in queue:  # grows while it is walked
+        for _, i, _, t in da.arcs_from(p):
+            if (q, i) in step_b:
+                nxt = (t, step_b[q, i])
+                if nxt not in index:
+                    index[nxt] = len(queue)
+                    queue.append(nxt)
+                arcs.append((index[p, q], i, i, index[nxt]))
+    finals = {k for (p, q), k in index.items()
+              if p in da.finals and q in db.finals}
+    return fst.Transducer(a.table, len(queue), 0, finals, arcs)
+
+
+def brzozowski(t):
+    return fst.determinize(fst.reverse(fst.determinize(fst.reverse(t))))
+
+
+def test_intersect_is_the_minimal_pair_product(table, fixture_parsed):
+    """intersect refines the raw product, dead states and all; it must
+    give exactly the minimal DFA that Brzozowski's construction builds
+    from the same product."""
+    sym_ids = ids(table, "abc")
+    rng = random.Random(37)
+    pairs = [(random_acceptor(table, sym_ids, rng, max_states=6, max_arcs=14),
+              random_acceptor(table, sym_ids, rng, max_states=6, max_arcs=14))
+             for _ in range(300)]
+    _, _, ruleset = fixture_parsed
+    rules = [twol.compile_rule(r, ruleset) for r in ruleset.rules]
+    pairs += zip(rules, rules[1:] + rules[:1])
+    with_dead = 0
+    for a, b in pairs:
+        product = pair_product(a, b)
+        if a.table is table:  # the random pairs: small enough to count
+            live = set(product.finals)
+            for f in product.finals:
+                live |= reachable(f, [(d, i, o, s)
+                                      for s, i, o, d in product.arcs])
+            with_dead += len(live) < product.num_states
+        want, got = brzozowski(product), fst.intersect(a, b)
+        assert (got.num_states, got.start, got.finals, got.arcs) == \
+            (want.num_states, want.start, want.finals, want.arcs)
+    assert with_dead >= 100  # 203 of the 300 random products have some
+
+
 def residual_count(d, sym_ids):
     """The number of distinct languages, cut at length num_states, of
     the states of the DFA d: the state count of the minimal DFA, found

@@ -96,6 +96,21 @@ def test_comments_and_escapes():
     assert (table.id_of("!"), table.id_of("!")) in rs.alphabet.pairs
 
 
+def test_quoted_token_in_a_context_is_a_symbol():
+    rs = twol.parse_twol('Alphabet\n a b | ;\nRules\n"R" a => a "|" b _ ;\n')
+    a, bar, b = (twol.Atom(rs.table.id_of(t), rs.table.id_of(t))
+                 for t in "a|b")
+    assert rs.rules[0].contexts == [(twol.Seq((a, bar, b)), twol.EPSILON_RE)]
+
+
+def test_quoted_token_opens_a_rule_only_before_center_and_operator():
+    rs = twol.parse_twol(
+        'Alphabet\n a b ;\nRules\n"R" a => "b" _ ;\n"S" b => a _ ;\n')
+    b = rs.table.id_of("b")
+    assert [r.name for r in rs.rules] == ["R", "S"]
+    assert rs.rules[0].contexts == [(twol.Atom(b, b), twol.EPSILON_RE)]
+
+
 # ---------------------------------------------------------------------------
 # oracle semantics (executable definition)
 
