@@ -20,6 +20,15 @@ and the states with a non-epsilon arc.  Two subsets that differ only in
 pure-epsilon states have the same futures and the same finality, so
 merging them loses nothing, and it makes Brzozowski's theorem hold
 exactly: determinize(reverse(d)) of an accessible DFA d is minimal.
+A subset is a bitmask, a Python int with bit q set for each important
+state q in it.  Each state's moves are one {label: mask} map built
+before the construction starts, so a subset's moves on a label are the
+OR of its members' masks for that label: no set is built, hashed or
+closed over epsilon again per subset.
+
+Only determinize checks that its input is an acceptor; minimize,
+complement and intersect check through it.  A flagged machine is an
+acceptor by construction, so it is returned before any arc is scanned.
 
 A flagged machine also has transition maps, one {label: dst} dict per
 state, built from its arcs on first use and kept like the arcs_from
@@ -51,12 +60,16 @@ _trim walks forward once.  It marks the states co-reachable over all
 arcs, then renumbers by BFS from the start along arcs into marked
 states only.  Every state on a path from the start to a final is
 co-reachable, so that BFS reaches exactly the reachable and
-co-reachable states, with no separate reachability walk.
+co-reachable states, with no separate reachability walk.  Its arcs come
+out sorted, so it builds its machine without sorting them again; any
+other Transducer(...) sorts the arcs it is given.  Every machine checks
+its state bounds once, in one pass over the arc targets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import AlphabetMismatchError, NotAnAcceptorError
 from .symbols import EPSILON_ID, SymbolTable
@@ -70,18 +83,32 @@ class Transducer:
 
     def __init__(self, table, num_states, start, finals, arcs,
                  deterministic=False):
+        self._fill(table, num_states, start, finals, sorted(arcs),
+                   deterministic)
+
+    @classmethod
+    def _sorted(cls, table, num_states, start, finals, arcs, deterministic):
+        """A machine from arcs already in sorted order, as _trim emits
+        them; skips the sort that __init__ makes."""
+        t = cls.__new__(cls)
+        t._fill(table, num_states, start, finals, arcs, deterministic)
+        return t
+
+    def _fill(self, table, num_states, start, finals, arcs, deterministic):
         self.table = table
         self.num_states = num_states
         self.start = start
         self.finals = frozenset(finals)
-        self.arcs = tuple(sorted(arcs))
+        self.arcs = tuple(arcs)
         self.deterministic = deterministic
         self._adj = None
         self._by_input = None
         self._steps = None
+        # the arcs are sorted, so the last one has the largest source
         assert start < num_states
-        assert all(s < num_states for s in self.finals)
-        assert all(a[0] < num_states and a[3] < num_states for a in self.arcs)
+        assert max(self.finals, default=0) < num_states
+        assert not arcs or max(arcs[-1][0], max(map(itemgetter(3), arcs))) \
+            < num_states
 
     def arcs_from(self, state):
         if self._adj is None:
@@ -142,12 +169,6 @@ def _check_tables(*ts):
         raise AlphabetMismatchError("transducers use different symbol tables")
 
 
-def _require_acceptor(*ts):
-    for t in ts:
-        if not t.is_acceptor():
-            raise NotAnAcceptorError("operation requires an acceptor (in == out)")
-
-
 def _step_maps(num_states, arcs):
     """Per-state {label: dst} maps of the arcs of a DFA acceptor."""
     steps = [{} for _ in range(num_states)]
@@ -190,8 +211,8 @@ def _trim(table, num_states, start, finals, arcs, deterministic=False):
         run.sort()
         new_arcs += run
     new_finals = {order[s] for s in finals if s in order}
-    return Transducer(table, len(order), 0, new_finals, new_arcs,
-                      deterministic)
+    return Transducer._sorted(table, len(order), 0, new_finals, new_arcs,
+                              deterministic)
 
 
 def _explore(start, expand):
@@ -366,51 +387,62 @@ def compose(a: Transducer, b: Transducer) -> Transducer:
 # acceptor algebra
 
 
-def _eps_closure(t, states):
-    seen = set(states)
-    stack = list(states)
-    while stack:
-        s = stack.pop()
-        for _, i, o, d in t.arcs_from(s):
-            if i == EPSILON_ID and o == EPSILON_ID and d not in seen:
-                seen.add(d)
-                stack.append(d)
-    return frozenset(seen)
-
-
 def determinize(a: Transducer) -> Transducer:
     """Subset construction; acceptors only (epsilon arcs are removed).
     A machine flagged deterministic is returned as it is.
 
     Each subset holds only the important states of its epsilon closure
     (finals and states with a non-epsilon arc): the others add no arc
-    and no finality, and keeping them would split equivalent subsets."""
-    if a.deterministic:
+    and no finality, and keeping them would split equivalent subsets.
+    Subsets are bitmasks (see the module docstring): steps[q] holds, per
+    label, the OR of the closure masks of q's targets on it."""
+    if a.deterministic:  # an acceptor by construction: no arc scan
         return a
-    _require_acceptor(a)
+    if not a.is_acceptor():
+        raise NotAnAcceptorError("operation requires an acceptor (in == out)")
+    eps = [[] for _ in range(a.num_states)]
+    for s, i, _, d in a.arcs:
+        if i == EPSILON_ID:
+            eps[s].append(d)
     important = set(a.finals)
     important.update(s for s, i, _, _ in a.arcs if i != EPSILON_ID)
-    closure_of = [None] * a.num_states  # per-state closure, computed once
+    closure_of = {}  # state: mask of the important states of its closure
 
-    def closure(states):
-        out = set()
-        for s in states:
-            c = closure_of[s]
-            if c is None:
-                c = closure_of[s] = _eps_closure(a, {s}) & important
-            out |= c
-        return frozenset(out)
+    def closure(s):
+        mask = closure_of.get(s)
+        if mask is None:
+            seen = {s}
+            stack = [s]
+            while stack:
+                for d in eps[stack.pop()]:
+                    if d not in seen:
+                        seen.add(d)
+                        stack.append(d)
+            mask = closure_of[s] = sum(1 << q for q in seen & important)
+        return mask
 
-    def expand(cur):
-        moves = {}
-        for s in cur:
-            for _, i, _, d in a.arcs_from(s):
-                if i != EPSILON_ID:
-                    moves.setdefault(i, set()).add(d)
-        return (bool(cur & a.finals),
-                [(lab, lab, closure(moves[lab])) for lab in sorted(moves)])
+    labels = sorted(a.input_labels())
+    rank = {lab: k for k, lab in enumerate(labels)}
+    steps = [{} for _ in range(a.num_states)]  # {label rank: mask}
+    for s, i, _, d in a.arcs:
+        if i != EPSILON_ID:
+            k = rank[i]
+            steps[s][k] = steps[s].get(k, 0) | closure(d)
+    steps = [tuple(step.items()) for step in steps]
+    final_mask = sum(1 << q for q in a.finals)
 
-    n, finals, arcs = _explore(closure({a.start}), expand)
+    def expand(mask):
+        moves = [0] * len(labels)
+        bits = bin(mask)[:1:-1]  # bit q of mask is bits[q]
+        q = bits.find("1")
+        while q >= 0:
+            for k, target in steps[q]:
+                moves[k] |= target
+            q = bits.find("1", q + 1)
+        return (bool(mask & final_mask),
+                [(labels[k], labels[k], m) for k, m in enumerate(moves) if m])
+
+    n, finals, arcs = _explore(closure(a.start), expand)
     return _trim(a.table, n, 0, finals, arcs, deterministic=True)
 
 
@@ -495,7 +527,6 @@ def _minimal(table, start, finals, steps):
 def minimize(a: Transducer) -> Transducer:
     """The minimal DFA of the acceptor a: determinize, then refine
     (see _minimal)."""
-    _require_acceptor(a)
     d = determinize(a)
     return _minimal(a.table, d.start, d.finals, d._transitions())
 
@@ -503,7 +534,6 @@ def minimize(a: Transducer) -> Transducer:
 def complement(a: Transducer, alphabet) -> Transducer:
     """Sigma* minus L(a), relative to an explicit closed alphabet: arcs
     of a on labels outside it are never followed."""
-    _require_acceptor(a)
     alphabet = sorted(set(alphabet))
     if EPSILON_ID in alphabet:
         raise ValueError("epsilon cannot be a complement alphabet member")
@@ -524,7 +554,6 @@ def intersect(a: Transducer, b: Transducer) -> Transducer:
     """The minimal DFA of L(a) & L(b): the reachable pair product of
     their DFAs, refined by _minimal without being trimmed first."""
     _check_tables(a, b)
-    _require_acceptor(a, b)
     da, db = determinize(a), determinize(b)
     steps_a, steps_b = da._transitions(), db._transitions()
     width = db.num_states  # the pair (s1, s2) is keyed s1 * width + s2

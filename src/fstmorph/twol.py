@@ -594,15 +594,26 @@ def combine_rules(ruleset: RuleSet, strategy: str = "direct",
                   domain: fst.Transducer = None) -> fst.Transducer:
     """Intersection of all compiled rule acceptors over the pair alphabet.
 
-    A domain acceptor over the same pairs, when given, starts the fold,
-    so every intermediate automaton stays domain-sized.  Each fold step
-    is one intersect, which returns the minimal DFA of the two
-    languages, and a compiled rule is minimal already, so the result of
-    more than one machine is minimal.  `reversed` folds
-    the reversed machines and reverses the result back: by Brzozowski's
-    theorem, determinize(reverse(d)) of an accessible DFA d is minimal,
-    so both strategies give the same machine.  Without a domain, warns
-    if the rules contradict."""
+    Each intersect returns the minimal DFA of its two languages, numbered
+    canonically, and a compiled rule is minimal already, so the order of
+    the intersections never changes the result, only the sizes of the
+    machines in between and so the cost.  The order follows from whether
+    a domain is given:
+
+    - A domain acceptor over the same pairs leads a left-to-right fold,
+      domain & r0, then & r1, and so on.  Every intermediate language is
+      a subset of the domain's, so each step stays domain-sized.
+    - Without a domain, the rules are intersected in pairwise rounds,
+      (r0 & r1), (r2 & r3), ..., then pairs of those.  A left-to-right
+      fold would intersect a product that grows towards the full result
+      with one small rule at every step; in rounds, most intersections
+      are of small machines, and the full-sized ones come last and few.
+
+    `reversed` folds the reversed machines in the same order and
+    reverses the result back: by Brzozowski's theorem,
+    determinize(reverse(d)) of an accessible DFA d is minimal, so both
+    strategies give the same machine.  Without a domain, warns if the
+    rules contradict."""
     if strategy not in ("direct", "reversed"):
         raise ValueError(f"bad combination strategy {strategy!r}")
     machines = [compile_rule(r, ruleset) for r in ruleset.rules]
@@ -612,10 +623,15 @@ def combine_rules(ruleset: RuleSet, strategy: str = "direct",
         return fst.sigma_star(ruleset.table, ruleset.alphabet.pair_ids())
 
     def fold(ms):
-        acc = ms[0]
-        for m in ms[1:]:
-            acc = fst.intersect(acc, m)
-        return acc
+        if domain is not None:
+            acc = ms[0]
+            for m in ms[1:]:
+                acc = fst.intersect(acc, m)
+            return acc
+        while len(ms) > 1:
+            paired = [fst.intersect(x, y) for x, y in zip(ms[::2], ms[1::2])]
+            ms = paired + ms[2 * len(paired):]
+        return ms[0]
 
     if strategy == "reversed" and len(machines) > 1:
         acc = fst.determinize(

@@ -155,26 +155,63 @@ def random_pair_string(ruleset, rng, max_len=6):
             for _ in range(rng.randint(0, max_len))]
 
 
+def eps_closure(acceptor, states):
+    """The states reachable from states over epsilon arcs, as a frozenset."""
+    seen = set(states)
+    stack = list(states)
+    while stack:
+        for _, i, _, d in acceptor.arcs_from(stack.pop()):
+            if i == EPSILON_ID and d not in seen:
+                seen.add(d)
+                stack.append(d)
+    return frozenset(seen)
+
+
 def accepts(acceptor, pair_ids_seq):
     """NFA acceptance of a symbol-id sequence (acceptor arcs, with eps)."""
-    def closure(states):
-        seen = set(states)
-        stack = list(states)
-        while stack:
-            s = stack.pop()
-            for _, i, _, d in acceptor.arcs_from(s):
-                if i == EPSILON_ID and d not in seen:
-                    seen.add(d)
-                    stack.append(d)
-        return seen
-
     if acceptor.num_states == 0:
         return False
-    current = closure({acceptor.start})
+    current = eps_closure(acceptor, {acceptor.start})
     for sym in pair_ids_seq:
         nxt = {d for s in current
                for _, i, _, d in acceptor.arcs_from(s) if i == sym}
-        current = closure(nxt)
+        current = eps_closure(acceptor, nxt)
         if not current:
             return False
     return bool(current & acceptor.finals)
+
+
+def reference_determinize(a):
+    """The subset construction over frozenset subsets of important
+    states, a reference for fst.determinize, which keys them as
+    bitmasks: it must give the same machine, arc for arc."""
+    important = set(a.finals)
+    important.update(s for s, i, _, _ in a.arcs if i != EPSILON_ID)
+    closure_of = [None] * a.num_states  # per-state closure, computed once
+
+    def closure(states):
+        out = set()
+        for s in states:
+            c = closure_of[s]
+            if c is None:
+                c = closure_of[s] = eps_closure(a, {s}) & important
+            out |= c
+        return frozenset(out)
+
+    def expand(cur):
+        moves = {}
+        for s in cur:
+            for _, i, _, d in a.arcs_from(s):
+                if i != EPSILON_ID:
+                    moves.setdefault(i, set()).add(d)
+        return (bool(cur & a.finals),
+                [(lab, lab, closure(moves[lab])) for lab in sorted(moves)])
+
+    n, finals, arcs = fst._explore(closure({a.start}), expand)
+    return fst._trim(a.table, n, 0, finals, arcs, deterministic=True)
+
+
+def same_machine(a, b):
+    """Equal state for state and arc for arc."""
+    return ((a.num_states, a.start, a.finals, a.arcs)
+            == (b.num_states, b.start, b.finals, b.arcs))

@@ -7,7 +7,8 @@ from fstmorph import fst, twol
 from fstmorph.errors import NotAnAcceptorError
 from fstmorph.symbols import EPSILON_ID, SymbolTable
 
-from conftest import accepts, random_acceptor, random_transducer
+from conftest import (accepts, random_acceptor, random_transducer,
+                      reference_determinize, same_machine)
 
 
 @pytest.fixture
@@ -245,6 +246,56 @@ def residual_count(d, sym_ids):
     return len(langs)
 
 
+def test_determinize_matches_the_frozenset_reference(table, fixture_parsed):
+    """Bitmask subsets give the machine that frozenset subsets give, on
+    random epsilon-NFAs (some past 64 states, so masks pass a machine
+    word) and on unflagged copies and reverses of the fixture rules."""
+    sym_ids = ids(table, "abc")
+    rng = random.Random(53)
+    wide = 0
+    for k in range(300):
+        if k % 3:
+            a = random_acceptor(table, sym_ids, rng, max_states=12,
+                                max_arcs=24)
+        else:  # a chain through every state keeps them all useful
+            n = rng.randint(65, 120)
+            arcs = [(q, c, c, q + 1) for q in range(n - 1)
+                    for c in [rng.choice(sym_ids + [EPSILON_ID])]]
+            arcs += [(rng.randrange(n), c, c, rng.randrange(n))
+                     for c in rng.choices(sym_ids + [EPSILON_ID], k=n // 4)]
+            finals = {n - 1} | {q for q in range(n) if rng.random() < 0.1}
+            a = fst._trim(table, n, 0, finals, arcs)
+            wide += a.num_states > 64
+        assert same_machine(fst.determinize(a), reference_determinize(a))
+    assert wide == 100
+    _, _, ruleset = fixture_parsed
+    for rule in ruleset.rules:
+        r = twol.compile_rule(rule, ruleset)
+        copy = fst.Transducer(r.table, r.num_states, r.start, r.finals,
+                              r.arcs)
+        for nfa in (copy, fst.reverse(r)):
+            assert same_machine(fst.determinize(nfa),
+                                reference_determinize(nfa))
+
+
+def test_trim_emits_sorted_arcs(table):
+    sym_ids = ids(table, "abc")
+    rng = random.Random(59)
+    for _ in range(200):
+        t = random_transducer(table, sym_ids, rng, max_states=8,
+                              max_arcs=20)
+        assert list(t.arcs) == sorted(t.arcs)
+
+
+def test_construction_checks_state_bounds(table):
+    a = ids(table, "a")[0]
+    for start, finals, arcs in ((2, (), ()), (0, {2}, ()),
+                                (0, (), [(2, a, a, 0)]),
+                                (0, (), [(0, a, a, 1), (1, a, a, 2)])):
+        with pytest.raises(AssertionError):
+            fst.Transducer(table, 2, start, finals, arcs)
+
+
 def test_minimize_matches_the_residual_count(table):
     sym_ids = ids(table, "abc")
     rng = random.Random(31)
@@ -281,6 +332,19 @@ def test_acceptor_ops_reject_transducers(table):
     a, b = ids(table, "ab")
     t = fst._trim(table, 2, 0, {1}, [(0, a, b, 1)])
     for op in (fst.determinize, fst.minimize):
+        with pytest.raises(NotAnAcceptorError):
+            op(t)
+
+
+def test_every_acceptor_op_rejects_an_unflagged_transducer(table):
+    a, b = ids(table, "ab")
+    t = fst._trim(table, 2, 0, {1}, [(0, a, a, 1), (1, a, b, 1)])
+    dfa = fst.minimize(fst.string_acceptor(table, [a]))
+    assert not t.deterministic and dfa.deterministic
+    ops = [fst.determinize, fst.minimize,
+           lambda m: fst.complement(m, [a, b]),
+           lambda m: fst.intersect(m, dfa), lambda m: fst.intersect(dfa, m)]
+    for op in ops:
         with pytest.raises(NotAnAcceptorError):
             op(t)
 

@@ -3,11 +3,12 @@ import warnings
 
 import pytest
 
-from fstmorph import fst, twol
+from fstmorph import fst, lexc, lookup, twol
 from fstmorph.errors import ParseError
 from fstmorph.symbols import EPSILON_ID, SymbolTable
 
-from conftest import accepts, random_pair_string, random_ruleset
+from conftest import (accepts, random_acceptor, random_pair_string,
+                      random_ruleset, same_machine)
 
 SOURCE = """
 ! tiny rule file exercising the grammar
@@ -197,6 +198,45 @@ def test_combine_strategies_equal_random():
         d = twol.combine_rules(rs, "direct")
         r = twol.combine_rules(rs, "reversed")
         assert fst.equivalent_acceptors(d, r)
+
+
+def assert_combine_is_the_left_fold(ruleset, domains):
+    """combine_rules, under both strategies and with each of domains (None
+    for no domain), equals arc for arc the plain left-to-right intersect
+    fold of the domain, if any, and the compiled rules."""
+    rules = [twol.compile_rule(r, ruleset) for r in ruleset.rules]
+    for domain in domains:
+        machines = rules if domain is None else [domain] + rules
+        expected = machines[0]
+        for m in machines[1:]:
+            expected = fst.intersect(expected, m)
+        for strategy in ("direct", "reversed"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                got = twol.combine_rules(ruleset, strategy, domain)
+            assert same_machine(got, expected)
+
+
+def test_combine_is_the_left_fold_random():
+    rng = random.Random(47)
+    for _ in range(200):
+        rs = random_ruleset(rng, num_rules=rng.randint(1, 7))
+        domain = random_acceptor(rs.table, rs.alphabet.pair_ids(), rng,
+                                 max_states=6, max_arcs=24)
+        assert_combine_is_the_left_fold(rs, [None, domain])
+
+
+def test_combine_is_the_left_fold_on_the_fixture(fixture_parsed,
+                                                 monkeypatch):
+    _, ast, full = fixture_parsed
+    rs = twol.RuleSet(full.alphabet, full.sets, full.rules[:17])
+    domains = []  # the lexicon domain that a pipeline build passes
+    monkeypatch.setattr(twol, "combine_rules",
+                        lambda ruleset, strategy, domain:
+                        domains.append(domain) or domain)
+    lookup._restricted_rules(lexc.compile_lexicon(ast), rs, "direct")
+    monkeypatch.undo()
+    assert_combine_is_the_left_fold(rs, [None, domains[0]])
 
 
 def test_combine_monotone():
