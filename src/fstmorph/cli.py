@@ -42,14 +42,14 @@ def _build(args):
     ruleset = twol.parse_twol(_read(args.rules), table, filename=args.rules)
     orthography = None
     if args.orthography:
-        orthography = [(k, vs[0]) for k, vs in lookup.parse_mapping_file(
-            _read(args.orthography), table, args.orthography)]
+        orthography = lookup.parse_orthography_file(
+            _read(args.orthography), table, args.orthography)
     relax_spec = None
     if args.relax:
         relax_spec = lookup.parse_mapping_file(
             _read(args.relax), table, args.relax)
     pipeline = lookup.build_pipeline(ast, ruleset, args.mode, orthography,
-                                     relax_spec, args.strategy)
+                                     relax_spec)
     return ast, pipeline, relax_spec
 
 
@@ -75,8 +75,7 @@ def cmd_compile(args):
         (out / RELAX_TSV).write_text(
             lookup.format_mapping_file(relax_spec, table), encoding="utf-8")
         files.append(RELAX_TSV)
-    manifest = {"mode": args.mode, "strategy": args.strategy,
-                "files": files}
+    manifest = {"mode": args.mode, "files": files}
     (out / MANIFEST_JSON).write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n",
         encoding="utf-8")
@@ -186,8 +185,6 @@ def _add_build_args(p):
                    help="lexicon source files (shared namespace)")
     p.add_argument("--rules", required=True, help="two-level rule file")
     p.add_argument("--mode", choices=lookup.MODES, default="pedagogical")
-    p.add_argument("--strategy", choices=("direct", "reversed"),
-                   default="direct")
     p.add_argument("--orthography",
                    help="pedagogical→normative symbol map (TSV)")
     p.add_argument("--relax", help="spell-relax symbol map (TSV)")

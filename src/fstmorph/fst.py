@@ -705,36 +705,6 @@ def lookup_paths(a: Transducer, ids, max_len: int, max_count: int) -> PathSet:
     return PathSet([(ids, o) for o in pairs], truncated)
 
 
-def language(a: Transducer, max_len: int) -> set:
-    """Set of accepted strings (id tuples) up to max_len; acceptors only."""
-    d = determinize(a)
-    out = set()
-    stack = [(d.start, ())]
-    while stack:
-        state, s = stack.pop()
-        if state in d.finals:
-            out.add(s)
-        if len(s) == max_len:
-            continue
-        for _, i, _, dst in d.arcs_from(state):
-            stack.append((dst, s + (i,)))
-    return out
-
-
 def is_empty(a: Transducer) -> bool:
     # machines are trimmed on construction, so emptiness == no finals
     return len(a.finals) == 0
-
-
-def equivalent_acceptors(a: Transducer, b: Transducer, max_len: int = 8) -> bool:
-    """Exact language equivalence for acceptors (difference-emptiness);
-    bounded path-set comparison otherwise."""
-    _check_tables(a, b)
-    if a.is_acceptor() and b.is_acceptor():
-        sigma = a.labels() | b.labels()
-        return is_empty(difference(a, b, sigma)) and is_empty(
-            difference(b, a, sigma)
-        )
-    pa = enumerate_paths(a, max_len, 1_000_000)
-    pb = enumerate_paths(b, max_len, 1_000_000)
-    return set(pa.pairs) == set(pb.pairs)

@@ -120,7 +120,7 @@ def _sample_path(machine, max_len=40):
     return paths.pairs[0] if paths.pairs else None
 
 
-def _restricted_rules(lexicon, ruleset, strategy):
+def _restricted_rules(lexicon, ruleset):
     """Rule transducer restricted to the lexicon's stem-side strings.
 
     Intersecting the full rule set over the whole pair alphabet can
@@ -149,12 +149,12 @@ def _restricted_rules(lexicon, ruleset, strategy):
     domain = fst._trim(table, stems.num_states, stems.start, stems.finals,
                        arcs)
     return twol.pairs_to_transducer(
-        twol.combine_rules(ruleset, strategy, domain), table)
+        twol.combine_rules(ruleset, domain=domain), table)
 
 
 def build_pipeline(lexicon_ast: lexc.LexiconAst, ruleset: twol.RuleSet,
                    mode: str = "pedagogical", orthography=None,
-                   relax_spec=None, strategy: str = "direct") -> Pipeline:
+                   relax_spec=None) -> Pipeline:
     """Assemble generator and analyzer from parsed lexicon and rules.
 
     orthography: list of (pedagogical id, normative id); required in
@@ -165,7 +165,7 @@ def build_pipeline(lexicon_ast: lexc.LexiconAst, ruleset: twol.RuleSet,
         raise FstMorphError(f"unknown mode {mode!r}")
     table = lexicon_ast.table
     lexicon = lexc.compile_lexicon(lexicon_ast)
-    rules = _restricted_rules(lexicon, ruleset, strategy)
+    rules = _restricted_rules(lexicon, ruleset)
     generator = fst.compose(lexicon, rules)
     if fst.is_empty(generator):
         sample = _sample_path(lexicon)
@@ -251,8 +251,7 @@ def analyze(pipeline: Pipeline, surface: str, max_count: int = 100,
 
 
 def load_pipeline(lexc_texts, twol_text, mode: str = "pedagogical",
-                  orthography_text=None, relax_text=None,
-                  strategy: str = "direct") -> Pipeline:
+                  orthography_text=None, relax_text=None) -> Pipeline:
     """Parse lexicon and rule sources into one shared symbol table and
     assemble the pipeline.  Multiple lexicon files share a namespace."""
     table = SymbolTable()
@@ -260,19 +259,16 @@ def load_pipeline(lexc_texts, twol_text, mode: str = "pedagogical",
     ruleset = twol.parse_twol(twol_text, table)
     orthography = None
     if orthography_text is not None:
-        orthography = [(k, vs[0]) for k, vs in
-                       parse_mapping_file(orthography_text, table)]
+        orthography = parse_orthography_file(orthography_text, table)
     relax_spec = None
     if relax_text is not None:
         relax_spec = parse_mapping_file(relax_text, table)
-    return build_pipeline(ast, ruleset, mode, orthography, relax_spec,
-                          strategy)
+    return build_pipeline(ast, ruleset, mode, orthography, relax_spec)
 
 
-def parse_mapping_file(text, table, filename=None):
-    """Two-column TSV of symbol → variant; '0' in column 2 means the
-    symbol may be absent.  Returns list of (symbol id, [variant ids])."""
-    rows = {}
+def _mapping_rows(text, table, filename):
+    """(line number, symbol id, variant id) of each row of a two-column
+    TSV of symbol → variant; '0' in column 2 is EPSILON_ID."""
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -289,8 +285,32 @@ def parse_mapping_file(text, table, filename=None):
         except SymbolError as exc:
             raise FstMorphError(
                 f"{filename or '<mapping>'}:{lineno}: {exc}") from None
+        yield lineno, key, variant
+
+
+def parse_mapping_file(text, table, filename=None):
+    """Two-column TSV of symbol → variant; '0' in column 2 means the
+    symbol may be absent.  Returns list of (symbol id, [variant ids])."""
+    rows = {}
+    for _, key, variant in _mapping_rows(text, table, filename):
         rows.setdefault(key, []).append(variant)
     return list(rows.items())
+
+
+def parse_orthography_file(text, table, filename=None):
+    """A mapping file read as pedagogical → normative spelling, one row
+    per pedagogical symbol.  Returns list of (pedagogical id, normative
+    id); a second row for one symbol is an error located at that row."""
+    mapping, line_of = [], {}
+    for lineno, key, variant in _mapping_rows(text, table, filename):
+        if key in line_of:
+            raise FstMorphError(
+                f"{filename or '<mapping>'}:{lineno}: second normative "
+                f"spelling for {table.resolve(key)!r} (first on line "
+                f"{line_of[key]})")
+        line_of[key] = lineno
+        mapping.append((key, variant))
+    return mapping
 
 
 def format_mapping_file(spec, table) -> str:

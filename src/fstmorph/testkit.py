@@ -205,12 +205,6 @@ def _tag_sequences_by_pos(pipeline, max_len, max_count):
     return by_pos, analyses.truncated
 
 
-def _tag_sequences(pipeline, pos, max_len, max_count):
-    """The post-POS tag sequences of one POS tag."""
-    by_pos, truncated = _tag_sequences_by_pos(pipeline, max_len, max_count)
-    return by_pos.get(pos, set()), truncated
-
-
 def coverage_stats(lexicon_ast: lexc.LexiconAst, pipeline: lookup.Pipeline,
                    max_len: int = 100, max_count: int = 10000) -> CoverageStats:
     table = lexicon_ast.table

@@ -16,6 +16,11 @@ on both sides, minus the marked strings in context, then unmarked (the
 marker arcs become epsilon arcs).  The marker is never interned: the
 table is written out as symbols.tsv, which must not depend on how the
 rules compile.
+
+combine_rules intersects the compiled rules into one acceptor by one
+fold.  Every intersect returns a canonical minimal DFA, so only the
+order of the fold is chosen, for speed: domain-led when a lexicon
+domain is given, in pairwise rounds when not.
 """
 
 from __future__ import annotations
@@ -609,36 +614,30 @@ def combine_rules(ruleset: RuleSet, strategy: str = "direct",
       with one small rule at every step; in rounds, most intersections
       are of small machines, and the full-sized ones come last and few.
 
-    `reversed` folds the reversed machines in the same order and
-    reverses the result back: by Brzozowski's theorem,
-    determinize(reverse(d)) of an accessible DFA d is minimal, so both
-    strategies give the same machine.  Without a domain, warns if the
-    rules contradict."""
-    if strategy not in ("direct", "reversed"):
+    Without a domain, warns if the rules contradict.
+
+    strategy names the one combination there is, "direct"; any other
+    value is a ValueError.  The parameter stays only for the benchmark
+    scripts (bench/combine.py, bench/run.py), which call
+    `combine_rules(ruleset, "direct")`."""
+    if strategy != "direct":
         raise ValueError(f"bad combination strategy {strategy!r}")
     machines = [compile_rule(r, ruleset) for r in ruleset.rules]
     if domain is not None:
         machines.insert(0, domain)
     if not machines:
         return fst.sigma_star(ruleset.table, ruleset.alphabet.pair_ids())
-
-    def fold(ms):
-        if domain is not None:
-            acc = ms[0]
-            for m in ms[1:]:
-                acc = fst.intersect(acc, m)
-            return acc
-        while len(ms) > 1:
-            paired = [fst.intersect(x, y) for x, y in zip(ms[::2], ms[1::2])]
-            ms = paired + ms[2 * len(paired):]
-        return ms[0]
-
-    if strategy == "reversed" and len(machines) > 1:
-        acc = fst.determinize(
-            fst.reverse(fold([fst.reverse(m) for m in machines])))
-    else:
-        acc = fold(machines)
-    if domain is None and fst.is_empty(acc):
+    if domain is not None:
+        acc = machines[0]
+        for m in machines[1:]:
+            acc = fst.intersect(acc, m)
+        return acc
+    while len(machines) > 1:
+        paired = [fst.intersect(x, y)
+                  for x, y in zip(machines[::2], machines[1::2])]
+        machines = paired + machines[2 * len(paired):]
+    acc = machines[0]
+    if fst.is_empty(acc):
         warnings.warn("rule set is contradictory: combined language is empty",
                       stacklevel=2)
     return acc

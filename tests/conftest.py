@@ -81,6 +81,35 @@ def random_acceptor(table, sym_ids, rng, max_states=5, max_arcs=10):
     return fst._trim(table, n, 0, finals, arcs)
 
 
+def language(a, max_len):
+    """Set of accepted strings (id tuples) up to max_len; acceptors only."""
+    d = fst.determinize(a)
+    out = set()
+    stack = [(d.start, ())]
+    while stack:
+        state, s = stack.pop()
+        if state in d.finals:
+            out.add(s)
+        if len(s) == max_len:
+            continue
+        for _, i, _, dst in d.arcs_from(state):
+            stack.append((dst, s + (i,)))
+    return out
+
+
+def equivalent_acceptors(a, b, max_len=8):
+    """Exact language equivalence for acceptors (difference-emptiness);
+    bounded path-set comparison otherwise."""
+    fst._check_tables(a, b)
+    if a.is_acceptor() and b.is_acceptor():
+        sigma = a.labels() | b.labels()
+        return fst.is_empty(fst.difference(a, b, sigma)) and fst.is_empty(
+            fst.difference(b, a, sigma))
+    pa = fst.enumerate_paths(a, max_len, 1_000_000)
+    pb = fst.enumerate_paths(b, max_len, 1_000_000)
+    return set(pa.pairs) == set(pb.pairs)
+
+
 def random_transducer(table, sym_ids, rng, max_states=4, max_arcs=8,
                       acyclic=False):
     n = rng.randint(2 if acyclic else 1, max_states)
@@ -209,6 +238,21 @@ def reference_determinize(a):
 
     n, finals, arcs = fst._explore(closure({a.start}), expand)
     return fst._trim(a.table, n, 0, finals, arcs, deterministic=True)
+
+
+def reversed_combine(ruleset):
+    """The rule combination built the other way round, a reference for
+    twol.combine_rules: the left fold of the reversed compiled rules,
+    reversed back and determinized.  With two or more rules the fold
+    ends in an accessible DFA, so by Brzozowski's theorem the result is
+    the minimal DFA of the rules' intersection, canonically numbered;
+    one rule reversed twice determinizes back to itself."""
+    machines = [fst.reverse(twol.compile_rule(r, ruleset))
+                for r in ruleset.rules]
+    acc = machines[0]
+    for m in machines[1:]:
+        acc = fst.intersect(acc, m)
+    return fst.determinize(fst.reverse(acc))
 
 
 def same_machine(a, b):

@@ -10,8 +10,9 @@ import time
 from fstmorph import att, fst, lookup, testkit, twol
 from fstmorph.symbols import SymbolTable
 
-from conftest import (accepts, random_acceptor, random_pair_string,
-                      random_ruleset, random_transducer)
+from conftest import (accepts, equivalent_acceptors, language,
+                      random_acceptor, random_pair_string, random_ruleset,
+                      random_transducer, reversed_combine)
 
 REFERENCE_FORMS = {
     "algg+N+Sg+Nom": {"algg"},
@@ -84,22 +85,23 @@ def test_criterion_04_rule_compiler_soundness():
 
 
 def test_criterion_05_strategy_equivalence(fixture_parsed):
+    """combine_rules agrees with the reversed-fold reference."""
     rng = random.Random(4321)
     for _ in range(200):
         ruleset = random_ruleset(rng, num_rules=rng.randint(1, 3))
-        direct = twol.combine_rules(ruleset, "direct")
-        rev = twol.combine_rules(ruleset, "reversed")
-        assert fst.equivalent_acceptors(direct, rev)
-    # Fixture rule set: both strategies end minimized and canonically
-    # numbered, so language equality shows up as structural equality.
+        direct = twol.combine_rules(ruleset)
+        rev = reversed_combine(ruleset)
+        assert equivalent_acceptors(direct, rev)
+    # Fixture rule set: both end minimized and canonically numbered, so
+    # language equality shows up as structural equality.
     _, _, ruleset = fixture_parsed
-    direct = twol.combine_rules(ruleset, "direct")
-    rev = twol.combine_rules(ruleset, "reversed")
+    direct = twol.combine_rules(ruleset)
+    rev = reversed_combine(ruleset)
     assert direct.num_states == rev.num_states
     assert direct.start == rev.start
     assert direct.finals == rev.finals
     assert direct.arcs == rev.arcs
-    print("PASS criterion 5: direct and reversed combination agree on "
+    print("PASS criterion 5: combine_rules and the reversed fold agree on "
           "200 random rule sets and the fixture")
 
 
@@ -109,9 +111,9 @@ def test_criterion_06_acceptor_algebra():
     rng = random.Random(77)
     for _ in range(200):
         a = random_acceptor(table, sym_ids, rng)
-        lang = fst.language(a, 8)
-        assert fst.language(fst.determinize(a), 8) == lang
-        assert fst.language(fst.minimize(a), 8) == lang
+        lang = language(a, 8)
+        assert language(fst.determinize(a), 8) == lang
+        assert language(fst.minimize(a), 8) == lang
         assert fst.is_empty(fst.intersect(a, fst.complement(a, sym_ids)))
     print("PASS criterion 6: determinize/minimize preserve 200 random "
           "languages; a ∩ ¬a empty")

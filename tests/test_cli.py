@@ -68,8 +68,7 @@ def test_compile_deterministic(artifacts, tmp_path):
         assert (again / name).read_bytes() == (artifacts / name).read_bytes()
 
 
-# SHA-256 of the fixture artifacts built with --orthography and --relax;
-# both strategies give these bytes
+# SHA-256 of the fixture artifacts built with --orthography and --relax
 ARTIFACT_DIGESTS = {
     "generator.att":
         "1e95cc681d4b317e0369fd807fd9bb55eba5e5372294b458380479e3200af4ab",
@@ -78,19 +77,14 @@ ARTIFACT_DIGESTS = {
 }
 
 
-def test_fixture_artifacts_are_pinned(artifacts, tmp_path):
-    reversed_out = tmp_path / "reversed"
-    assert cli.main(["compile", *full_args(), "--strategy", "reversed",
-                     "--out", str(reversed_out)]) == 0
-    for out in (artifacts, reversed_out):
-        for name, digest in ARTIFACT_DIGESTS.items():
-            assert hashlib.sha256((out / name).read_bytes()).hexdigest() \
-                == digest, (out.name, name)
+def test_fixture_artifacts_are_pinned(artifacts):
+    for name, digest in ARTIFACT_DIGESTS.items():
+        assert hashlib.sha256((artifacts / name).read_bytes()).hexdigest() \
+            == digest, name
 
 
 # SHA-256 of the artifacts of the benchmark's seed-1 synthetic grammar
-# (bench/inputs.py), built with its orthography and relax map; both
-# strategies give these bytes
+# (bench/inputs.py), built with its orthography and relax map
 SYNTH_DIGESTS = {
     "generator.att":
         "540c1cd7e0d293e057dae20e07d1b11206775aea9660172a82d4bf32772fa4ae",
@@ -105,13 +99,51 @@ def test_synthetic_artifacts_are_pinned(tmp_path):
                "--rules", str(files["phonology.twol"]),
                "--orthography", str(files["orthography.tsv"]),
                "--relax", str(files["relax.tsv"])]
-    for strategy in ("direct", "reversed"):
-        out = tmp_path / strategy
-        assert cli.main(["compile", *sources, "--strategy", strategy,
-                         "--out", str(out)]) == 0
-        for name, digest in SYNTH_DIGESTS.items():
-            assert hashlib.sha256((out / name).read_bytes()).hexdigest() \
-                == digest, (strategy, name)
+    out = tmp_path / "out"
+    assert cli.main(["compile", *sources, "--out", str(out)]) == 0
+    for name, digest in SYNTH_DIGESTS.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() \
+            == digest, name
+
+
+def test_a_manifest_from_before_still_loads(artifacts, tmp_path, capsys,
+                                            monkeypatch):
+    """A fresh manifest holds only files and mode.  Directories written
+    when compile also recorded "strategy": "direct" load, and look words
+    up as a fresh build does."""
+    manifest = json.loads((artifacts / "manifest.json").read_text())
+    assert set(manifest) == {"files", "mode"}
+    old = tmp_path / "old"
+    old.mkdir()
+    for p in artifacts.iterdir():
+        (old / p.name).write_bytes(p.read_bytes())
+    (old / "manifest.json").write_text(json.dumps(
+        dict(manifest, strategy="direct"), indent=2, sort_keys=True) + "\n")
+    for direction, words in [
+            ("down", "algg+N+Sg+Loc+PxSg1\nveʹrdd+N+Pl+Gen\nnope+N\n"),
+            ("up", "aalǥ\nviirdi\nkueʹtt\nzzzz\n")]:
+        outputs = []
+        for out in (artifacts, old):
+            assert run(["lookup", str(out), "--direction", direction],
+                       words, monkeypatch) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count("\t+?") == 1, outputs[0]
+
+
+def test_a_second_orthography_row_for_one_symbol_fails_compile(tmp_path,
+                                                                capsys):
+    ortho = tmp_path / "orthography.tsv"
+    rows = (FIXTURE_DIR / "orthography.tsv").read_text(encoding="utf-8")
+    ortho.write_text(rows + "ẹ\ta\n", encoding="utf-8")
+    line = rows.count("\n") + 1
+    out = tmp_path / "o"
+    code = cli.main(["compile", *fixture_args(), "--mode", "normative",
+                     "--orthography", str(ortho), "--out", str(out)])
+    assert code == 2
+    assert f"error: {ortho}:{line}: second normative spelling for 'ẹ'" \
+        in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_lookup_down(artifacts, capsys, monkeypatch):

@@ -7,7 +7,8 @@ from fstmorph import fst, twol
 from fstmorph.errors import NotAnAcceptorError
 from fstmorph.symbols import EPSILON_ID, SymbolTable
 
-from conftest import (accepts, random_acceptor, random_transducer,
+from conftest import (accepts, equivalent_acceptors, language,
+                      random_acceptor, random_transducer,
                       reference_determinize, same_machine)
 
 
@@ -41,12 +42,12 @@ def test_union_concat_star(table):
     a = fst.string_acceptor(table, ids(table, "a"))
     b = fst.string_acceptor(table, ids(table, "b"))
     u = fst.union(a, b)
-    assert fst.language(u, 3) == {tuple(ids(table, "a")),
+    assert language(u, 3) == {tuple(ids(table, "a")),
                                   tuple(ids(table, "b"))}
     c = fst.concat(a, b)
-    assert fst.language(c, 3) == {tuple(ids(table, "ab"))}
+    assert language(c, 3) == {tuple(ids(table, "ab"))}
     s = fst.star(a)
-    assert fst.language(s, 3) == {(), tuple(ids(table, "a")),
+    assert language(s, 3) == {(), tuple(ids(table, "a")),
                                   tuple(ids(table, "aa")),
                                   tuple(ids(table, "aaa"))}
 
@@ -90,11 +91,11 @@ def test_determinize_minimize_preserve_language(table):
     rng = random.Random(7)
     for _ in range(100):
         a = random_acceptor(table, sym_ids, rng)
-        lang = fst.language(a, 8)
+        lang = language(a, 8)
         d = fst.determinize(a)
         m = fst.minimize(a)
-        assert fst.language(d, 8) == lang
-        assert fst.language(m, 8) == lang
+        assert language(d, 8) == lang
+        assert language(m, 8) == lang
         # determinism: at most one arc per (state, symbol), no epsilon
         seen = set()
         for src, i, _, _ in d.arcs:
@@ -123,8 +124,8 @@ def test_complement_and_intersect(table):
         a = random_acceptor(table, sym_ids, rng)
         comp = fst.complement(a, sym_ids)
         assert fst.is_empty(fst.intersect(a, comp))
-        lang = fst.language(a, 4)
-        comp_lang = fst.language(comp, 4)
+        lang = language(a, 4)
+        comp_lang = language(comp, 4)
         full = set()
         for n in range(5):
             full |= set(itertools.product(sym_ids, repeat=n))
@@ -137,7 +138,7 @@ def test_complement_is_sigma_star_minus_the_language(table):
     a, x = ids(table, "ab")
     only_xa = fst.string_acceptor(table, [x, a])
     comp = fst.complement(only_xa, [a])
-    assert fst.language(comp, 4) == {(a,) * n for n in range(5)}
+    assert language(comp, 4) == {(a,) * n for n in range(5)}
     sym_ids = ids(table, "abc")
     alphabet = sym_ids[:2]
     full = {w for n in range(5)
@@ -146,7 +147,7 @@ def test_complement_is_sigma_star_minus_the_language(table):
     for _ in range(100):
         m = random_acceptor(table, sym_ids, rng)
         comp = fst.complement(m, alphabet)
-        assert fst.language(comp, 4) == full - fst.language(m, 4)
+        assert language(comp, 4) == full - language(m, 4)
 
 
 def test_difference_and_equivalence(table):
@@ -154,14 +155,14 @@ def test_difference_and_equivalence(table):
     b = fst.union(a, fst.string_acceptor(table, ids(table, "b")))
     assert fst.is_empty(fst.difference(a, b, ids(table, "ab")))
     assert not fst.is_empty(fst.difference(b, a, ids(table, "ab")))
-    assert not fst.equivalent_acceptors(a, b)
-    assert fst.equivalent_acceptors(b, fst.minimize(b))
+    assert not equivalent_acceptors(a, b)
+    assert equivalent_acceptors(b, fst.minimize(b))
 
 
 def test_brzozowski_determinize_of_reverse_is_minimal(table):
     """determinize(reverse(d)) of an accessible DFA d is the minimal DFA
     of the reversed language, because subsets keep important states
-    only; the combine_rules `reversed` strategy relies on this."""
+    only; the reversed_combine reference in conftest relies on this."""
     sym_ids = ids(table, "abc")
     rng = random.Random(5)
     for _ in range(300):
@@ -324,8 +325,8 @@ def test_project(table):
     t = fst._trim(table, 2, 0, {1}, [(0, a, b, 1)])
     up = fst.project(t, "input")
     down = fst.project(t, "output")
-    assert fst.language(up, 2) == {(a,)}
-    assert fst.language(down, 2) == {(b,)}
+    assert language(up, 2) == {(a,)}
+    assert language(down, 2) == {(b,)}
 
 
 def test_acceptor_ops_reject_transducers(table):
@@ -379,7 +380,7 @@ def test_accepts_helper_agrees_with_language(table):
     rng = random.Random(23)
     for _ in range(50):
         a = random_acceptor(table, sym_ids, rng)
-        lang = fst.language(a, 4)
+        lang = language(a, 4)
         for n in range(4):
             for s in itertools.product(sym_ids, repeat=n):
                 assert accepts(a, list(s)) == (s in lang)

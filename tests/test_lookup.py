@@ -84,26 +84,23 @@ def test_normative_mode_has_no_pedagogical_symbols(normative_pipeline):
         ["kueʹtt"]
 
 
-def test_strategies_build_equal_generators(fixture_sources):
-    reversed_pipe = lookup.load_pipeline(
-        fixture_sources["lexc"], fixture_sources["twol"],
-        strategy="reversed")
-    direct_pipe = lookup.load_pipeline(
-        fixture_sources["lexc"], fixture_sources["twol"])
-    rel = lambda p: {
-        (p.table.render(a), p.table.render(b))
-        for a, b in fst.enumerate_paths(p.generator, 60, 1000).pairs}
-    assert rel(reversed_pipe) == rel(direct_pipe)
-
-
 def test_unknown_strategy_is_a_value_error():
-    table = SymbolTable()
-    ast = lexc.parse_lexc("LEXICON Root\na # ;\n", table)
-    ruleset = twol.parse_twol("Alphabet\n a ;\n", table)
-    with pytest.raises(ValueError, match="strategy 'sideways'"):
-        twol.combine_rules(ruleset, "sideways")
-    with pytest.raises(ValueError, match="strategy 'sideways'"):
-        lookup.build_pipeline(ast, ruleset, strategy="sideways")
+    ruleset = twol.parse_twol("Alphabet\n a ;\n")
+    for strategy in ("sideways", "reversed"):
+        with pytest.raises(ValueError, match=f"strategy {strategy!r}"):
+            twol.combine_rules(ruleset, strategy)
+
+
+def test_a_second_orthography_row_for_one_symbol_is_located():
+    """Each pedagogical symbol has one normative spelling; a second row
+    for it is an error at that row, whichever the row order."""
+    for rows, line in [("a\tb\na\tc\n", 2), ("a\tc\n# note\na\tb\n", 3)]:
+        with pytest.raises(FstMorphError,
+                           match=rf"^<mapping>:{line}: second normative "
+                                 r"spelling for 'a' \(first on line 1\)"):
+            lookup.load_pipeline(["LEXICON Root\nab # ;\n"],
+                                 "Alphabet\n a b c ;\n", mode="normative",
+                                 orthography_text=rows)
 
 
 # ---------------------------------------------------------------------------
