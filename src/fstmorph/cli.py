@@ -20,7 +20,7 @@ import json
 import pathlib
 import sys
 
-from . import att, fst, lexc, lookup, testkit, twol
+from . import att, lexc, lookup, testkit, twol
 from .errors import FstMorphError, ParseError, PipelineError
 from .symbols import SymbolTable
 

@@ -145,9 +145,6 @@ class Transducer:
     def output_labels(self):
         return {o for _, _, o, _ in self.arcs if o != EPSILON_ID}
 
-    def labels(self):
-        return self.input_labels() | self.output_labels()
-
     def __repr__(self):
         return (
             f"<Transducer states={self.num_states} arcs={len(self.arcs)} "
@@ -311,14 +308,6 @@ def star(a: Transducer) -> Transducer:
     arcs += [(s + off, i, o, d + off) for s, i, o, d in a.arcs]
     arcs += [(f + off, EPSILON_ID, EPSILON_ID, 0) for f in a.finals]
     return _trim(a.table, a.num_states + 1, 0, {0}, arcs)
-
-
-def plus(a: Transducer) -> Transducer:
-    return concat(a, star(a))
-
-
-def option(a: Transducer) -> Transducer:
-    return union(a, epsilon_machine(a.table))
 
 
 # ---------------------------------------------------------------------------

@@ -43,14 +43,11 @@ class LexEntry:
     contlex: str
     gloss: str = None
     line: int = 0
-    analysis_text: str = ""
-    surface_text: str = None  # None when no ':' was given
     filename: str = None  # the source that line counts in
 
 
 @dataclass
 class LexiconAst:
-    multichar_decls: list  # symbol texts, declaration order
     lexicons: dict  # name -> list of LexEntry, insertion order
     table: SymbolTable
 
@@ -100,8 +97,7 @@ def _entry(fields, gloss, start, table):
     except SymbolError as exc:
         raise ParseError(str(exc), start.file, start.line) from None
     return LexEntry([s.id for s in analysis], [s.id for s in surface],
-                    fields[-1], gloss and gloss.text, start.line, ana_txt,
-                    sur_txt, start.file)
+                    fields[-1], gloss and gloss.text, start.line, start.file)
 
 
 def parse_lexc(source, table: SymbolTable = None,
@@ -112,7 +108,6 @@ def parse_lexc(source, table: SymbolTable = None,
     sources = [(filename, source)] if isinstance(source, str) else source
     if table is None:
         table = SymbolTable()
-    multichar_decls = []
     lexicons = {}
     entries = None  # the current LEXICON's
     mode = None  # None | "multichar" | "lexicon"
@@ -149,7 +144,6 @@ def parse_lexc(source, table: SymbolTable = None,
                     table.declare_multichar(tok.text)
                 except SymbolError as exc:
                     raise ParseError(str(exc), tok.file, tok.line) from None
-                multichar_decls.append(tok.text)
             elif tok.quoted:
                 if gloss or "\t" in tok.text:  # glosses.tsv is tab-separated
                     raise ParseError("more than one gloss on entry" if gloss
@@ -170,7 +164,7 @@ def parse_lexc(source, table: SymbolTable = None,
     if fields or gloss:
         raise unterminated()
 
-    ast = LexiconAst(multichar_decls, lexicons, table)
+    ast = LexiconAst(lexicons, table)
     _validate(ast, sources[0][0] if len(sources) == 1 else None)
     return ast
 
@@ -271,27 +265,3 @@ def split_lemma_pos(analysis_ids, table):
         lemma.append(text)
     return "".join(lemma), pos
 
-
-def pretty(ast: LexiconAst) -> str:
-    """Canonical re-rendering; re-parsing yields an equivalent AST."""
-    out = []
-    if ast.multichar_decls:
-        out.append("Multichar_Symbols")
-        out.append("  " + " ".join(ast.multichar_decls))
-        out.append("")
-    for name, entries in ast.lexicons.items():
-        out.append(f"LEXICON {name}")
-        for e in entries:
-            parts = []
-            if e.analysis_text or e.surface_text is not None:
-                if e.surface_text is not None:
-                    parts.append(f"{e.analysis_text}:{e.surface_text}")
-                else:
-                    parts.append(e.analysis_text)
-            parts.append(e.contlex)
-            if e.gloss is not None:
-                parts.append(f'"{e.gloss}"')
-            parts.append(";")
-            out.append("  " + " ".join(parts))
-        out.append("")
-    return "\n".join(out)

@@ -300,15 +300,24 @@ def parse_mapping_file(text, table, filename=None):
 def parse_orthography_file(text, table, filename=None):
     """A mapping file read as pedagogical → normative spelling, one row
     per pedagogical symbol.  Returns list of (pedagogical id, normative
-    id); a second row for one symbol is an error located at that row."""
-    mapping, line_of = [], {}
+    id).  A second row for one symbol, or a symbol that is both a
+    normative spelling and a pedagogical key, is an error located at the
+    later of the two rows."""
+    mapping, line_of, normative = [], {}, {}
     for lineno, key, variant in _mapping_rows(text, table, filename):
+        where = f"{filename or '<mapping>'}:{lineno}"
         if key in line_of:
             raise FstMorphError(
-                f"{filename or '<mapping>'}:{lineno}: second normative "
-                f"spelling for {table.resolve(key)!r} (first on line "
-                f"{line_of[key]})")
+                f"{where}: second normative spelling for "
+                f"{table.resolve(key)!r} (first on line {line_of[key]})")
         line_of[key] = lineno
+        normative.setdefault(variant, lineno)
+        for sym in (key, variant):
+            if sym in line_of and sym in normative:
+                raise FstMorphError(
+                    f"{where}: normative symbol {table.resolve(sym)!r} is "
+                    "also a pedagogical key (on line "
+                    f"{min(line_of[sym], normative[sym])})")
         mapping.append((key, variant))
     return mapping
 

@@ -4,6 +4,11 @@ Rules are parallel constraints over equal-length strings of feasible
 lexical:surface pairs; epsilon is a real "0" member of a pair until
 pairs_to_transducer converts the combined acceptor for composition.
 
+Context regexes parse to four node types, Atom, Seq, Alt and Star,
+which are all that check_rule and compile_rule read: `x+` parses to
+Seq((x, Star(x))), a glued `x?` to Alt((x, EPSILON_RE)), and a set
+name in an atom to the frozenset of the set's members.
+
 check_rule is the executable definition of rule semantics and is kept
 independent of the acceptor compiler: it matches context regexes
 directly on the pair string, while compile_rule goes through the
@@ -26,7 +31,7 @@ domain is given, in pairwise rounds when not.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import fst
 from .errors import ParseError, FstMorphError, SymbolError
@@ -46,8 +51,8 @@ MARKER = -1
 
 @dataclass(frozen=True)
 class Atom:
-    """One pair-class: each side a symbol id, a set name, or None (any).
-    Epsilon sides are the id 0."""
+    """One pair-class: each side a symbol id, a frozenset of symbol ids
+    (a set's members), or None (any).  Epsilon sides are the id 0."""
 
     left: object
     right: object
@@ -65,16 +70,6 @@ class Alt:
 
 @dataclass(frozen=True)
 class Star:
-    item: object
-
-
-@dataclass(frozen=True)
-class Plus:
-    item: object
-
-
-@dataclass(frozen=True)
-class Opt:
     item: object
 
 
@@ -344,10 +339,10 @@ class _Parser:
                 node = Star(node)
             elif op == "+":
                 self.next()
-                node = Plus(node)
+                node = Seq((node, Star(node)))
             elif op == "?" and self.peek().glued:
                 self.next()
-                node = Opt(node)
+                node = Alt((node, EPSILON_RE))
             else:
                 break
         return node
@@ -379,7 +374,7 @@ class _Parser:
         except SymbolError as exc:
             self.err(str(exc), tok)
         if content in self.sets or text in self.sets:
-            return ("set", text if text in self.sets else content)
+            return frozenset(self.sets[text if text in self.sets else content])
         sid = self.table.content_id(text)
         if sid is None:
             self.err(f"unknown set or symbol {text!r}", tok)
@@ -413,44 +408,29 @@ def _validate(ruleset, filename=None):
 # semantics
 
 
-def _side_matches(spec, sid, ruleset):
-    if spec is None:
-        return True
-    if isinstance(spec, tuple) and spec[0] == "set":
-        members = ruleset.sets.get(spec[1])
-        if members is None:
-            raise ParseError(f"unknown set {spec[1]!r}")
-        return sid in members
-    return sid == spec
+def _side_matches(spec, sid):
+    return spec is None or sid == spec or (
+        isinstance(spec, frozenset) and sid in spec)
 
 
-def _matching_pairs(atom, ruleset):
-    return [
-        p
-        for p in ruleset.alphabet.pairs
-        if _side_matches(atom.left, p[0], ruleset)
-        and _side_matches(atom.right, p[1], ruleset)
-    ]
-
-
-def _match_ends(node, seq, start, ruleset):
+def _match_ends(node, seq, start):
     """End positions reachable by matching node on seq from start."""
     if isinstance(node, Atom):
-        if start < len(seq) and _side_matches(node.left, seq[start][0], ruleset) \
-                and _side_matches(node.right, seq[start][1], ruleset):
+        if start < len(seq) and _side_matches(node.left, seq[start][0]) \
+                and _side_matches(node.right, seq[start][1]):
             return {start + 1}
         return set()
     if isinstance(node, Seq):
         ends = {start}
         for item in node.items:
-            ends = {e for p in ends for e in _match_ends(item, seq, p, ruleset)}
+            ends = {e for p in ends for e in _match_ends(item, seq, p)}
             if not ends:
                 break
         return ends
     if isinstance(node, Alt):
         out = set()
         for item in node.items:
-            out |= _match_ends(item, seq, start, ruleset)
+            out |= _match_ends(item, seq, start)
         return out
     if isinstance(node, Star):
         ends = {start}
@@ -458,29 +438,19 @@ def _match_ends(node, seq, start, ruleset):
         while frontier:
             nxt = set()
             for p in frontier:
-                nxt |= _match_ends(node.item, seq, p, ruleset)
+                nxt |= _match_ends(node.item, seq, p)
             frontier = nxt - ends
             ends |= nxt
         return ends
-    if isinstance(node, Plus):
-        return {
-            e
-            for p in _match_ends(node.item, seq, start, ruleset)
-            for e in _match_ends(Star(node.item), seq, p, ruleset)
-        }
-    if isinstance(node, Opt):
-        return {start} | _match_ends(node.item, seq, start, ruleset)
     raise TypeError(f"bad regex node {node!r}")
 
 
-def _context_holds(rule_ctx, seq, i, ruleset):
+def _context_holds(rule_ctx, seq, i):
     left, right = rule_ctx
-    left_ok = any(
-        i in _match_ends(left, seq, j, ruleset) for j in range(i + 1)
-    )
+    left_ok = any(i in _match_ends(left, seq, j) for j in range(i + 1))
     if not left_ok:
         return False
-    return bool(_match_ends(right, seq, i + 1, ruleset))
+    return bool(_match_ends(right, seq, i + 1))
 
 
 def check_rule(rule: TwolRule, s, ruleset: RuleSet) -> bool:
@@ -494,7 +464,7 @@ def check_rule(rule: TwolRule, s, ruleset: RuleSet) -> bool:
             raise FstMorphError(f"infeasible pair {pair!r} in rule string")
     a, b = rule.center
     for i, (l, r) in enumerate(s):
-        any_holds = any(_context_holds(c, s, i, ruleset) for c in rule.contexts)
+        any_holds = any(_context_holds(c, s, i) for c in rule.contexts)
         if rule.op == "=>":
             if (l, r) == (a, b) and not any_holds:
                 return False
@@ -519,9 +489,11 @@ def check_rule(rule: TwolRule, s, ruleset: RuleSet) -> bool:
 
 
 def _regex_to_fst(node, ruleset):
-    table = ruleset.table
+    table, alphabet = ruleset.table, ruleset.alphabet
     if isinstance(node, Atom):
-        pids = [ruleset.alphabet.pair_id(*p) for p in _matching_pairs(node, ruleset)]
+        pids = [alphabet.pair_id(l, s) for l, s in alphabet.pairs
+                if _side_matches(node.left, l)
+                and _side_matches(node.right, s)]
         if not pids:
             return fst.empty(table)
         return fst.symbol_set_acceptor(table, pids)
@@ -537,10 +509,6 @@ def _regex_to_fst(node, ruleset):
         return acc
     if isinstance(node, Star):
         return fst.star(_regex_to_fst(node.item, ruleset))
-    if isinstance(node, Plus):
-        return fst.plus(_regex_to_fst(node.item, ruleset))
-    if isinstance(node, Opt):
-        return fst.option(_regex_to_fst(node.item, ruleset))
     raise TypeError(f"bad regex node {node!r}")
 
 

@@ -102,7 +102,8 @@ def equivalent_acceptors(a, b, max_len=8):
     bounded path-set comparison otherwise."""
     fst._check_tables(a, b)
     if a.is_acceptor() and b.is_acceptor():
-        sigma = a.labels() | b.labels()
+        sigma = (a.input_labels() | a.output_labels()
+                 | b.input_labels() | b.output_labels())
         return fst.is_empty(fst.difference(a, b, sigma)) and fst.is_empty(
             fst.difference(b, a, sigma))
     pa = fst.enumerate_paths(a, max_len, 1_000_000)
@@ -162,7 +163,7 @@ def random_ruleset(rng, num_rules=1, num_letters=3, num_contexts=(1, 2)):
             if r < 0.2:
                 node = twol.Star(node)
             elif r < 0.3:
-                node = twol.Opt(node)
+                node = twol.Alt((node, twol.EPSILON_RE))
             elif depth == 0 and r < 0.4:
                 node = twol.Alt((node, random_regex(1)))
             atoms.append(node)

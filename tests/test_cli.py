@@ -146,6 +146,24 @@ def test_a_second_orthography_row_for_one_symbol_fails_compile(tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["pedagogical", "normative"])
+def test_a_clashing_orthography_fails_compile_in_both_modes(tmp_path, capsys,
+                                                            mode):
+    # 'b' is the normative spelling of 'a' and a pedagogical key itself
+    (tmp_path / "r.lexc").write_text("LEXICON Root\nab # ;\nbc # ;\n")
+    (tmp_path / "r.twol").write_text("Alphabet\n a b c ;\n")
+    ortho = tmp_path / "orthography.tsv"
+    ortho.write_text("a\tb\nb\tc\n")
+    out = tmp_path / "o"
+    code = cli.main(["compile", str(tmp_path / "r.lexc"),
+                     "--rules", str(tmp_path / "r.twol"), "--mode", mode,
+                     "--orthography", str(ortho), "--out", str(out)])
+    assert code == 2
+    assert (f"error: {ortho}:2: normative symbol 'b' is also a pedagogical "
+            "key (on line 1)") in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_lookup_down(artifacts, capsys, monkeypatch):
     code = run(["lookup", str(artifacts), "--direction", "down"],
                "algg+N+Sg+Gen\n", monkeypatch)

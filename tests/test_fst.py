@@ -392,7 +392,7 @@ def with_junk(t, rng):
     ends: (n, start, finals, arcs)."""
     n = t.num_states
     junk = rng.randint(1, 4)
-    labels = sorted(t.labels()) or [EPSILON_ID]
+    labels = sorted(t.input_labels() | t.output_labels()) or [EPSILON_ID]
     arcs = list(t.arcs)
     finals = set(t.finals) | {q for q in range(n) if rng.random() < 0.2}
     for j in range(n, n + junk):

@@ -103,6 +103,22 @@ def test_a_second_orthography_row_for_one_symbol_is_located():
                                  orthography_text=rows)
 
 
+def test_a_normative_symbol_that_is_also_a_key_is_located():
+    """No symbol is both a normative spelling and a pedagogical key, in
+    either mode; the error stands at the later of the two rows."""
+    for rows, line, sym, first in [("a\tb\nb\tc\n", 2, "b", 1),
+                                   ("b\tc\n# note\na\tb\n", 3, "b", 1),
+                                   ("c\tb\na\ta\n", 2, "a", 2)]:
+        for mode in ("pedagogical", "normative"):
+            with pytest.raises(FstMorphError,
+                               match=rf"^<mapping>:{line}: normative symbol "
+                                     rf"'{sym}' is also a pedagogical key "
+                                     rf"\(on line {first}\)"):
+                lookup.load_pipeline(["LEXICON Root\nab # ;\nbc # ;\n"],
+                                     "Alphabet\n a b c ;\n", mode=mode,
+                                     orthography_text=rows)
+
+
 # ---------------------------------------------------------------------------
 # orthography filter and relax transducer in isolation
 

@@ -84,10 +84,48 @@ def test_optionality_versus_wildcard():
             node = node.items[0]
         return node
 
-    assert isinstance(unwrap(left), twol.Opt)
+    a = rs.table.id_of("a")
+    assert unwrap(left) == twol.Alt((twol.Atom(a, a), twol.EPSILON_RE))
     atom = unwrap(right)
     assert isinstance(atom, twol.Atom)
     assert atom.left is None and atom.right is None
+
+
+def test_plus_and_glued_question_mark_parse_to_core_nodes():
+    # `x+` is `x x*` and a glued `x?` is `( x | )`
+    rs = twol.parse_twol(
+        'Alphabet\n a b a:b ;\nRules\n"R" a:b => a+ _ b:? ;\n')
+    a, b = rs.table.id_of("a"), rs.table.id_of("b")
+    x, y = twol.Atom(a, a), twol.Atom(b, None)
+    assert rs.rules[0].contexts == [(twol.Seq((x, twol.Star(x))),
+                                     twol.Alt((y, twol.EPSILON_RE)))]
+
+
+def test_a_set_atom_holds_its_members(ruleset):
+    table = ruleset.table
+    stop = frozenset({table.id_of("b"), table.id_of("c")})
+    (left, _), = ruleset.rules[1].contexts  # b:0 => Stop: _ ;
+    assert left == twol.Atom(stop, None)
+
+
+def test_plus_and_question_mark_compile_as_spelled_out():
+    header = "Alphabet\n a b c a:b b:0 0:c ;\nRules\n"
+    rng = random.Random(14)
+    for op in twol.OPERATORS:
+        short = twol.parse_twol(
+            header + f'"R" a:b {op} c+ b:? _ (a | 0:c)+ ; c? _ ;\n')
+        spelled = twol.parse_twol(
+            header + f'"R" a:b {op} c c* ( b: | ) _ (a | 0:c) (a | 0:c)* ;'
+            " ( c | ) _ ;\n", short.table)
+        machine = twol.compile_rule(short.rules[0], short)
+        assert same_machine(machine,
+                            twol.compile_rule(spelled.rules[0], spelled))
+        for _ in range(200):
+            s = random_pair_string(short, rng, max_len=7)
+            pids = [short.alphabet.pair_id(*p) for p in s]
+            assert twol.check_rule(short.rules[0], s, short) == \
+                twol.check_rule(spelled.rules[0], s, spelled) == \
+                accepts(machine, pids)
 
 
 def test_comments_and_escapes():
