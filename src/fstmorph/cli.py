@@ -65,7 +65,7 @@ def cmd_compile(args):
     (out / SYMBOLS_TSV).write_text(
         att.export_symbols(table), encoding="utf-8")
     gloss_lines = []
-    for (lemma, pos), glosses in sorted(pipeline.glosses.rows.items()):
+    for (lemma, pos), glosses in sorted(pipeline.glosses.items()):
         for g in glosses:
             gloss_lines.append(f"{lemma}\t{pos}\t{g}")
     (out / GLOSSES_TSV).write_text(
@@ -107,8 +107,7 @@ def _load_artifacts(artifact_dir):
         spec = lookup.parse_mapping_file(
             _read(base / RELAX_TSV), table, str(base / RELAX_TSV))
         relax = lookup.build_relax(table, spec, analyzer.input_labels())
-    return lookup.Pipeline(table, generator, analyzer, manifest.get("mode"),
-                           relax, lexc.GlossTable(rows))
+    return lookup.Pipeline(table, generator, analyzer, relax, rows)
 
 
 def cmd_lookup(args):
@@ -120,12 +119,10 @@ def cmd_lookup(args):
         try:
             if args.direction == "down":
                 results = lookup.generate(pipeline, word,
-                                          max_count=args.max_count,
-                                          max_len=args.max_len)
+                                          max_count=args.max_count)
             else:
                 results = [a.text for a in lookup.analyze(
-                    pipeline, word, max_count=args.max_count,
-                    max_len=args.max_len)]
+                    pipeline, word, max_count=args.max_count)]
         except FstMorphError:
             results = []
         if results:
@@ -190,11 +187,6 @@ def _add_build_args(p):
     p.add_argument("--relax", help="spell-relax symbol map (TSV)")
 
 
-def _add_bounds(p):
-    p.add_argument("--max-len", type=int, default=200)
-    p.add_argument("--max-count", type=int, default=10000)
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="fstmorph",
@@ -210,7 +202,7 @@ def build_parser():
     p = sub.add_parser("lookup", help="apply transducers to stdin lines")
     p.add_argument("artifacts", help="artifact directory from 'compile'")
     p.add_argument("--direction", choices=("up", "down"), default="up")
-    _add_bounds(p)
+    p.add_argument("--max-count", type=int, default=10000)
     p.set_defaults(func=cmd_lookup)
 
     p = sub.add_parser("test", help="run a regression suite")
@@ -224,7 +216,8 @@ def build_parser():
 
     p = sub.add_parser("stats", help="coverage statistics table")
     _add_build_args(p)
-    _add_bounds(p)
+    p.add_argument("--max-len", type=int, default=200)
+    p.add_argument("--max-count", type=int, default=10000)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_stats)
 

@@ -327,12 +327,11 @@ def reverse(a: Transducer) -> Transducer:
 
 
 def project(a: Transducer, side: str) -> Transducer:
-    if side not in ("upper", "lower", "input", "output"):
+    if side not in ("input", "output"):
         raise ValueError(f"bad projection side {side!r}")
-    keep_input = side in ("upper", "input")
     arcs = []
     for s, i, o, d in a.arcs:
-        lab = i if keep_input else o
+        lab = i if side == "input" else o
         arcs.append((s, lab, lab, d))
     return _trim(a.table, a.num_states, a.start, a.finals, arcs)
 
@@ -633,13 +632,14 @@ def _word_coreachable(a, index, ids):
     return live
 
 
-def lookup_paths(a: Transducer, ids, max_len: int, max_count: int) -> PathSet:
+def lookup_paths(a: Transducer, ids, max_count: int) -> PathSet:
     """The (ids, output) pairs of a, found by one walk from the start
     state over the input-label index, without composing.
 
     The bounds are those of enumerate_paths on the string acceptor of
-    ids composed with a: reading past max_len input symbols is cut; a
-    run of epsilon-input arcs is cut when it repeats an arc (the
+    ids composed with a, with len(ids) as max_input_len: the word bounds
+    the input, so only epsilon runs and max_count cut the walk.  A run
+    of epsilon-input arcs is cut when it repeats an arc (the
     composition's epsilon filter lets the run's first arc come round
     once more); once max_count distinct pairs are found, the next
     accepting path with a pair not yet found stops the walk, while one
@@ -648,8 +648,8 @@ def lookup_paths(a: Transducer, ids, max_len: int, max_count: int) -> PathSet:
     composition.  Both give the same flag, and the same pairs unless
     max_count stops them: then each keeps the pairs its own search
     order found first."""
-    if max_len < 0 or max_count <= 0:
-        raise ValueError("enumeration bounds must be positive")
+    if max_count <= 0:
+        raise ValueError("max_count must be positive")
     ids = tuple(ids)
     if EPSILON_ID in ids:
         raise ValueError("lookup input cannot contain epsilon")
@@ -685,9 +685,6 @@ def lookup_paths(a: Transducer, ids, max_len: int, max_count: int) -> PathSet:
                           used + (arc,) if in_run else used))
         if k < n:
             for _, _, o, d in index.get((q, ids[k]), ()):
-                if k >= max_len:
-                    truncated = truncated or live((k + 1, d))
-                    continue
                 stack.append((k + 1, d, out + (o,) if o else out, False,
                               ()))
     pairs = sorted(found, key=lambda o: (len(o), o))

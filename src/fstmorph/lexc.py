@@ -25,7 +25,7 @@ its own file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import fst
 from .errors import ParseError, SymbolError
@@ -54,14 +54,6 @@ class LexiconAst:
     @property
     def root(self):
         return self.lexicons["Root"]
-
-
-@dataclass
-class GlossTable:
-    rows: dict  # (lemma text, POS tag) -> list of gloss strings
-
-    def lookup(self, lemma, pos):
-        return self.rows.get((lemma, pos), [])
 
 
 def _split_entry_pair(text):
@@ -182,30 +174,6 @@ def _validate(ast, filename=None):
                     f" (referenced from {name})", e.filename, e.line)
 
 
-def contlex_cycles(ast: LexiconAst) -> list:
-    """Cycles in the continuation graph (legal: compounding), as name lists."""
-    graph = {
-        name: {e.contlex for e in entries if e.contlex != END}
-        for name, entries in ast.lexicons.items()
-    }
-    cycles = []
-    color = {}
-
-    def visit(node, path):
-        color[node] = "grey"
-        path.append(node)
-        for nxt in sorted(graph.get(node, ())):
-            if color.get(nxt) == "grey":
-                cycles.append(path[path.index(nxt):] + [nxt])
-            elif nxt not in color:
-                visit(nxt, path)
-        path.pop()
-        color[node] = "black"
-
-    visit("Root", [])
-    return cycles
-
-
 def compile_lexicon(ast: LexiconAst) -> fst.Transducer:
     """One sub-network per lexicon; every entry is an analysis:surface
     arc chain ending in an epsilon transition into its continuation."""
@@ -238,8 +206,9 @@ def compile_lexicon(ast: LexiconAst) -> fst.Transducer:
     return fst._trim(table, counter[0], state_of["Root"], {final}, arcs)
 
 
-def extract_glosses(ast: LexiconAst) -> GlossTable:
-    """Rows for entries that carry both a POS tag and a gloss."""
+def extract_glosses(ast: LexiconAst) -> dict:
+    """{(lemma text, POS tag): [gloss, ...]} for the entries that carry
+    both a POS tag and a gloss."""
     table = ast.table
     rows = {}
     for entries in ast.lexicons.values():
@@ -250,7 +219,7 @@ def extract_glosses(ast: LexiconAst) -> GlossTable:
             if pos is None:
                 continue
             rows.setdefault((lemma, pos), []).append(e.gloss)
-    return GlossTable(rows)
+    return rows
 
 
 def split_lemma_pos(analysis_ids, table):

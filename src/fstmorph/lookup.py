@@ -38,9 +38,8 @@ class Pipeline:
     table: SymbolTable
     generator: fst.Transducer
     analyzer: fst.Transducer
-    mode: str
     relax: fst.Transducer = None
-    glosses: lexc.GlossTable = None
+    glosses: dict = field(default_factory=dict)  # as lexc.extract_glosses
     _relaxed_analyzer: fst.Transducer = field(default=None, init=False,
                                               repr=False, compare=False)
 
@@ -74,7 +73,7 @@ def _mapping_transducer(table, alphabet_ids, mapping, keep_original):
     for sid in set(alphabet_ids) | mapped:
         if sid != EPSILON_ID and sid not in seen_keys:
             arcs.append((0, sid, sid, 0))
-    return fst._trim(table, 1, 0, {0}, arcs)
+    return fst.Transducer(table, 1, 0, {0}, arcs)
 
 
 def build_orthography_filter(table, mapping, alphabet_ids) -> fst.Transducer:
@@ -146,8 +145,8 @@ def _restricted_rules(lexicon, ruleset):
     for q in range(stems.num_states):
         for pid in insertions:
             arcs.append((q, pid, pid, q))
-    domain = fst._trim(table, stems.num_states, stems.start, stems.finals,
-                       arcs)
+    domain = fst.Transducer(table, stems.num_states, stems.start,
+                            stems.finals, arcs)
     return twol.pairs_to_transducer(
         twol.combine_rules(ruleset, domain=domain), table)
 
@@ -188,9 +187,7 @@ def build_pipeline(lexicon_ast: lexc.LexiconAst, ruleset: twol.RuleSet,
         analyzer_source = generator
     elif orthography:
         # Accept the normative spelling of every form as well.
-        opt = _mapping_transducer(
-            table, surf, [(k, [v]) for k, v in orthography],
-            keep_original=True)
+        opt = build_relax(table, [(k, [v]) for k, v in orthography], surf)
         analyzer_source = fst.compose(generator, opt)
 
     analyzer = fst.invert(analyzer_source)
@@ -198,7 +195,7 @@ def build_pipeline(lexicon_ast: lexc.LexiconAst, ruleset: twol.RuleSet,
     if relax_spec:
         relax = build_relax(table, relax_spec,
                             analyzer_source.output_labels())
-    return Pipeline(table, generator, analyzer, mode, relax,
+    return Pipeline(table, generator, analyzer, relax,
                     lexc.extract_glosses(lexicon_ast))
 
 
@@ -206,16 +203,11 @@ def _tokenize_strict(table, text):
     return [s.id for s in table.tokenize(text, intern_new=False)]
 
 
-def _output_texts(table, paths):
-    return sorted({table.render(out) for _, out in paths.pairs})
-
-
-def generate(pipeline: Pipeline, analysis: str, max_count: int = 100,
-             max_len: int = 200) -> list:
+def generate(pipeline: Pipeline, analysis: str, max_count: int = 100) -> list:
     """Apply-down: analysis string → surface forms."""
     ids = _tokenize_strict(pipeline.table, analysis)
-    paths = fst.lookup_paths(pipeline.generator, ids, max_len, max_count)
-    return _output_texts(pipeline.table, paths)
+    paths = fst.lookup_paths(pipeline.generator, ids, max_count)
+    return sorted({pipeline.table.render(out) for _, out in paths.pairs})
 
 
 def _analyses(pipeline, paths, relaxed):
@@ -227,27 +219,23 @@ def _analyses(pipeline, paths, relaxed):
         outputs.setdefault(table.render(out), out)
     result = []
     for text, out in sorted(outputs.items()):
-        glosses = []
-        if pipeline.glosses is not None:
-            lemma, pos = lexc.split_lemma_pos(out, table)
-            if pos is not None:
-                glosses = pipeline.glosses.lookup(lemma, pos)
+        lemma, pos = lexc.split_lemma_pos(out, table)
+        glosses = pipeline.glosses.get((lemma, pos), [])
         result.append(Analysis(text, relaxed, glosses))
     return result
 
 
-def analyze(pipeline: Pipeline, surface: str, max_count: int = 100,
-            max_len: int = 200) -> list:
+def analyze(pipeline: Pipeline, surface: str, max_count: int = 100) -> list:
     """Apply-up: surface form → analyses; falls back to spell-relaxed
     readings (relaxed=True) only when the strict analysis is empty."""
     ids = _tokenize_strict(pipeline.table, surface)
-    strict = fst.lookup_paths(pipeline.analyzer, ids, max_len, max_count)
+    strict = fst.lookup_paths(pipeline.analyzer, ids, max_count)
     if strict.pairs:
         return _analyses(pipeline, strict, False)
     if pipeline.relax is None:
         return []
     return _analyses(pipeline, fst.lookup_paths(
-        pipeline.relaxed_analyzer(), ids, max_len, max_count), True)
+        pipeline.relaxed_analyzer(), ids, max_count), True)
 
 
 def load_pipeline(lexc_texts, twol_text, mode: str = "pedagogical",

@@ -229,10 +229,6 @@ class SymbolTable:
     def freeze(self):
         self._frozen = True
 
-    @property
-    def frozen(self):
-        return self._frozen
-
     # -- tokenization ------------------------------------------------------
 
     def tokenize(self, text: str, intern_new: bool = True) -> list[Symbol]:

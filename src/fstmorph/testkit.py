@@ -217,7 +217,7 @@ def coverage_stats(lexicon_ast: lexc.LexiconAst, pipeline: lookup.Pipeline,
         seen_lemmas.add((lemma, pos))
         stats = per_pos.setdefault(pos, PosStats(pos))
         stats.lemmas += 1
-        if pipeline.glosses is not None and pipeline.glosses.lookup(lemma, pos):
+        if (lemma, pos) in pipeline.glosses:
             stats.glossed += 1
         else:
             stats.unglossed += 1

@@ -547,11 +547,11 @@ def compile_rule(rule: TwolRule, ruleset: RuleSet) -> fst.Transducer:
         unlicensed = fst.difference(
             fst.concat(fst.concat(pi_star, marked), pi_star),
             in_context(marked), pids + [MARKER])
-        viol = fst._trim(table, unlicensed.num_states, unlicensed.start,
-                         unlicensed.finals,
-                         [(src, EPSILON_ID, EPSILON_ID, dst) if i == MARKER
-                          else (src, i, o, dst)
-                          for src, i, o, dst in unlicensed.arcs])
+        viol = fst.Transducer(table, unlicensed.num_states, unlicensed.start,
+                              unlicensed.finals,
+                              [(src, EPSILON_ID, EPSILON_ID, dst)
+                               if i == MARKER else (src, i, o, dst)
+                               for src, i, o, dst in unlicensed.arcs])
     if rule.op in ("<=", "<=>"):
         wrong = [alphabet.pair_id(l, s) for l, s in alphabet.pairs
                  if l == a and s != b]
@@ -623,5 +623,5 @@ def pairs_to_transducer(acceptor: fst.Transducer,
         else:
             l, s = table.pair_parts(i)
             arcs.append((src, l, s, dst))
-    return fst._trim(table, acceptor.num_states, acceptor.start,
-                     acceptor.finals, arcs)
+    return fst.Transducer(table, acceptor.num_states, acceptor.start,
+                          acceptor.finals, arcs)

@@ -33,6 +33,16 @@ def read_fixture(name):
     return (FIXTURE_DIR / name).read_text(encoding="utf-8")
 
 
+LONG_ROOT = "b" * 205  # a word of more than 200 symbols
+
+
+def long_root_roots():
+    """The fixture's roots.lexc with a LONG_ROOT noun under N_RADIO."""
+    return read_fixture("roots.lexc").replace(
+        "LEXICON Root\n",
+        f"LEXICON Root\n{LONG_ROOT}+N:{LONG_ROOT} N_RADIO ;\n")
+
+
 @pytest.fixture(scope="session")
 def fixture_sources():
     return {
@@ -109,6 +119,31 @@ def equivalent_acceptors(a, b, max_len=8):
     pa = fst.enumerate_paths(a, max_len, 1_000_000)
     pb = fst.enumerate_paths(b, max_len, 1_000_000)
     return set(pa.pairs) == set(pb.pairs)
+
+
+def contlex_cycles(ast):
+    """Cycles in a lexicon AST's continuation graph (legal: compounding),
+    as name lists."""
+    graph = {
+        name: {e.contlex for e in entries if e.contlex != lexc.END}
+        for name, entries in ast.lexicons.items()
+    }
+    cycles = []
+    color = {}
+
+    def visit(node, path):
+        color[node] = "grey"
+        path.append(node)
+        for nxt in sorted(graph.get(node, ())):
+            if color.get(nxt) == "grey":
+                cycles.append(path[path.index(nxt):] + [nxt])
+            elif nxt not in color:
+                visit(nxt, path)
+        path.pop()
+        color[node] = "black"
+
+    visit("Root", [])
+    return cycles
 
 
 def random_transducer(table, sym_ids, rng, max_states=4, max_arcs=8,

@@ -8,7 +8,7 @@ import pytest
 
 from fstmorph import cli, testkit
 
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, LONG_ROOT, long_root_roots
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent
                        / "bench"))
@@ -182,6 +182,28 @@ def test_lookup_up_relaxed(artifacts, capsys, monkeypatch):
     code = run(["lookup", str(artifacts)], "viirdi\n", monkeypatch)
     assert code == 0
     assert capsys.readouterr().out == "viirdi\tveʹrdd+N+Pl+Gen\n"
+
+
+def test_lookup_reads_a_word_of_any_length(tmp_path, capsys, monkeypatch):
+    roots = tmp_path / "roots.lexc"
+    roots.write_text(long_root_roots(), encoding="utf-8")
+    out = tmp_path / "out"
+    args = [str(roots), *full_args()[1:]]  # in place of the fixture's
+    assert cli.main(["compile", *args, "--out", str(out)]) == 0
+    capsys.readouterr()
+    analysis = LONG_ROOT + "+N+Sg+Nom"
+    for direction, word, result in [("down", analysis, LONG_ROOT),
+                                    ("up", LONG_ROOT, analysis)]:
+        assert run(["lookup", str(out), "--direction", direction],
+                   word + "\n", monkeypatch) == 0
+        assert capsys.readouterr().out == f"{word}\t{result}\n"
+
+
+def test_lookup_takes_no_input_length_bound(artifacts, capsys, monkeypatch):
+    with pytest.raises(SystemExit) as info:
+        run(["lookup", str(artifacts), "--max-len", "5"], "", monkeypatch)
+    assert info.value.code == 2
+    assert "--max-len" in capsys.readouterr().err
 
 
 def test_relax_map_with_unknown_symbol_is_usage_error(artifacts, tmp_path,

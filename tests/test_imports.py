@@ -1,4 +1,6 @@
-"""Every name a module of the package imports is read in that module."""
+"""Every name a module of the package imports is read in that module, and
+no module but fst reads a private name of another, apart from the
+allowed ones."""
 
 import ast
 import pathlib
@@ -26,3 +28,36 @@ def test_every_imported_name_is_read():
     modules = sorted(SRC.glob("*.py"))
     assert modules
     assert [u for path in modules for u in unused_imports(path)] == []
+
+
+# The one private name read across modules: canonical AT&T export and
+# the lexicon compiler number their machines with fst's trim.
+PRIVATE_READS_ALLOWED = {("att.py", "fst._trim"), ("lexc.py", "fst._trim")}
+
+
+def private_reads(path):
+    """(file, "module._name") for each read of a private name of another
+    package module, as module._name or from .module import _name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level == 1
+               and node.module is None for alias in node.names}
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 \
+                and node.module is not None:
+            reads.update((node.module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Attribute) \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id in modules:
+            reads.add((node.value.id, node.attr))
+    return {(path.name, f"{module}.{name}") for module, name in reads
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def test_no_module_reads_another_modules_private_names():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "fst.py":
+            found |= private_reads(path)
+    assert found - PRIVATE_READS_ALLOWED == set()

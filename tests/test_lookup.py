@@ -5,7 +5,7 @@ from fstmorph.errors import (FstMorphError, ParseError, PipelineError,
                              UnknownSymbolError)
 from fstmorph.symbols import EPSILON_ID, SymbolTable
 
-from conftest import GOLD_FORMS
+from conftest import GOLD_FORMS, LONG_ROOT, long_root_roots
 
 
 def test_generates_all_gold_forms(pipeline):
@@ -39,6 +39,17 @@ def test_glosses_attached(pipeline):
     assert reading.glosses == ["radio"]
     (reading,) = lookup.analyze(pipeline, "biografia")
     assert reading.glosses == []
+
+
+def test_the_word_alone_bounds_its_lookup(fixture_sources):
+    pipe = lookup.load_pipeline(
+        [long_root_roots(), fixture_sources["lexc"][1]],
+        fixture_sources["twol"],
+        orthography_text=fixture_sources["orthography"],
+        relax_text=fixture_sources["relax"])
+    analysis = LONG_ROOT + "+N+Sg+Nom"
+    assert lookup.generate(pipe, analysis) == [LONG_ROOT]
+    assert [a.text for a in lookup.analyze(pipe, LONG_ROOT)] == [analysis]
 
 
 def test_strict_analysis_not_flagged(pipeline):

@@ -2,9 +2,9 @@
 
 The oracle is the composition path lookup used before the walk: compose
 the string acceptor of the word with the whole machine and enumerate the
-result's paths.  When max_count cuts the result, each keeps the pairs
-its own search order found first, so under a cut only the truncated flag
-is compared.
+result's paths, the input bounded by the word's length.  When max_count
+cuts the result, each keeps the pairs its own search order found first,
+so under a cut only the truncated flag is compared.
 """
 
 import random
@@ -20,24 +20,24 @@ from conftest import FIXTURE_DIR
 BIG = 10**6
 
 
-def compose_lookup(machine, ids, max_len, max_count):
+def compose_lookup(machine, ids, max_count):
     acceptor = fst.string_pair(machine.table, ids, ids)
-    return fst.enumerate_paths(fst.compose(acceptor, machine), max_len,
+    return fst.enumerate_paths(fst.compose(acceptor, machine), len(ids),
                                max_count)
 
 
-def relaxed_compose_lookup(pipeline, ids, max_len, max_count):
+def relaxed_compose_lookup(pipeline, ids, max_count):
     acceptor = fst.string_pair(pipeline.table, ids, ids)
     chain = fst.compose(fst.compose(acceptor, fst.invert(pipeline.relax)),
                         pipeline.analyzer)
-    return fst.enumerate_paths(chain, max_len, max_count)
+    return fst.enumerate_paths(chain, len(ids), max_count)
 
 
 def assert_agree(walk, oracle, ids, what):
-    """walk and oracle: (ids, max_len, max_count) -> PathSet."""
-    for max_len, max_count in ((200, 100), (len(ids), 100), (200, 1)):
-        got = walk(ids, max_len, max_count)
-        want = oracle(ids, max_len, max_count)
+    """walk and oracle: (ids, max_count) -> PathSet."""
+    for max_count in (100, 1):
+        got = walk(ids, max_count)
+        want = oracle(ids, max_count)
         assert got.truncated == want.truncated, (what, ids, max_count)
         if max_count > 1:
             assert got.pairs == want.pairs, (what, ids)
@@ -95,16 +95,14 @@ def test_walk_matches_oracle_on_random_machines():
         machine = random_machine(table, syms, rng)
         for _ in range(3):
             ids = [rng.choice(syms) for _ in range(rng.randint(0, 3))]
-            for max_len in (10, rng.randint(0, 3)):
-                for max_count in (BIG, 1, 2, 3):
-                    got = fst.lookup_paths(machine, ids, max_len, max_count)
-                    want = compose_lookup(machine, ids, max_len, max_count)
-                    assert got.truncated == want.truncated, \
-                        (machine.arcs, machine.finals, ids, max_len,
-                         max_count)
-                    if max_count == BIG:
-                        assert got.pairs == want.pairs
-                    flagged += got.truncated
+            for max_count in (BIG, 1, 2, 3):
+                got = fst.lookup_paths(machine, ids, max_count)
+                want = compose_lookup(machine, ids, max_count)
+                assert got.truncated == want.truncated, \
+                    (machine.arcs, machine.finals, ids, max_count)
+                if max_count == BIG:
+                    assert got.pairs == want.pairs
+                flagged += got.truncated
     assert flagged > 100  # the cuts were reached, not just the easy cases
 
 
@@ -114,22 +112,18 @@ def test_walk_bounds():
     # a:b followed by a loop that writes b for ever without reading
     loop = fst._trim(table, 2, 0, {1},
                      [(0, a, b, 1), (1, EPSILON_ID, b, 1)])
-    paths = fst.lookup_paths(loop, [a], 10, 100)
+    paths = fst.lookup_paths(loop, [a], 100)
     # the epsilon filter lets the run's first arc come round once more
     assert paths.pairs == [((a,), (b,)), ((a,), (b, b)), ((a,), (b, b, b))]
     assert paths.truncated
-    # a word longer than max_len gives nothing and says so
     word = fst.string_acceptor(table, [a, a, a])
-    assert fst.lookup_paths(word, [a, a, a], 2, 100) == \
-        fst.PathSet([], True)
-    assert fst.lookup_paths(word, [a, a, a], 3, 100) == \
+    assert fst.lookup_paths(word, [a, a, a], 100) == \
         fst.PathSet([((a, a, a), (a, a, a))], False)
-    # ... but not when the word has no path at all
-    assert fst.lookup_paths(word, [a, a, b], 2, 100) == fst.PathSet([], False)
+    assert fst.lookup_paths(word, [a, a, b], 100) == fst.PathSet([], False)
     with pytest.raises(ValueError):
-        fst.lookup_paths(word, [a], 10, 0)
+        fst.lookup_paths(word, [a], 0)
     with pytest.raises(ValueError):
-        fst.lookup_paths(word, [a, EPSILON_ID], 10, 1)
+        fst.lookup_paths(word, [a, EPSILON_ID], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +148,7 @@ def test_walk_matches_oracle_on_misspellings(pipeline, relax_spec):
     for ids in words:
         assert_agree(walk, partial(relaxed_compose_lookup, pipeline), ids,
                      "relaxed")
-        assert walk(ids, 200, 100).pairs
+        assert walk(ids, 100).pairs
 
 
 def test_walk_matches_oracle_on_random_strings(pipeline):
