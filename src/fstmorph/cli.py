@@ -24,12 +24,19 @@ from . import att, lexc, lookup, testkit, twol
 from .errors import FstMorphError, ParseError, PipelineError
 from .symbols import SymbolTable
 
+try:  # built in; hashlib loads OpenSSL, 3.5 MB and 4 ms a process
+    from _sha256 import sha256
+except ImportError:  # Python 3.12 and later name it _sha2
+    from hashlib import sha256
+
 GENERATOR_ATT = "generator.att"
-ANALYZER_ATT = "analyzer.att"
+ANALYZER_ATT = "analyzer.att"  # written before format 2 only
 SYMBOLS_TSV = "symbols.tsv"
 GLOSSES_TSV = "glosses.tsv"
+ORTHOGRAPHY_TSV = "orthography.tsv"
 RELAX_TSV = "relax.tsv"
 MANIFEST_JSON = "manifest.json"
+FORMAT = 2
 
 
 def _read(path):
@@ -50,64 +57,95 @@ def _build(args):
             _read(args.relax), table, args.relax)
     pipeline = lookup.build_pipeline(ast, ruleset, args.mode, orthography,
                                      relax_spec)
-    return ast, pipeline, relax_spec
+    return ast, pipeline, orthography
 
 
 def cmd_compile(args):
-    _, pipeline, relax_spec = _build(args)
+    _, pipeline, orthography = _build(args)
+    table = pipeline.table
+    glosses = "\n".join(f"{lemma}\t{pos}\t{g}" for (lemma, pos), gs
+                        in sorted(pipeline.glosses.items()) for g in gs)
+    texts = {GENERATOR_ATT: att.export_att(pipeline.generator, table),
+             SYMBOLS_TSV: att.export_symbols(table),
+             GLOSSES_TSV: glosses + "\n"}
+    if orthography:
+        texts[ORTHOGRAPHY_TSV] = lookup.format_mapping_file(
+            [(k, [v]) for k, v in orthography], table)
+    if pipeline.relax:
+        texts[RELAX_TSV] = lookup.format_mapping_file(pipeline.relax.items(),
+                                                      table)
+    digests = {name: sha256(text.encode("utf-8")).hexdigest()
+               for name, text in texts.items()}
+    texts[MANIFEST_JSON] = json.dumps(
+        {"format": FORMAT, "mode": args.mode, "files": digests},
+        indent=2, sort_keys=True) + "\n"
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    table = pipeline.table
-    (out / GENERATOR_ATT).write_text(
-        att.export_att(pipeline.generator, table), encoding="utf-8")
-    (out / ANALYZER_ATT).write_text(
-        att.export_att(pipeline.analyzer, table), encoding="utf-8")
-    (out / SYMBOLS_TSV).write_text(
-        att.export_symbols(table), encoding="utf-8")
-    gloss_lines = []
-    for (lemma, pos), glosses in sorted(pipeline.glosses.items()):
-        for g in glosses:
-            gloss_lines.append(f"{lemma}\t{pos}\t{g}")
-    (out / GLOSSES_TSV).write_text(
-        "\n".join(gloss_lines) + "\n", encoding="utf-8")
-    files = [GENERATOR_ATT, ANALYZER_ATT, SYMBOLS_TSV, GLOSSES_TSV]
-    if relax_spec:
-        (out / RELAX_TSV).write_text(
-            lookup.format_mapping_file(relax_spec, table), encoding="utf-8")
-        files.append(RELAX_TSV)
-    manifest = {"mode": args.mode, "files": files}
-    (out / MANIFEST_JSON).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
-    print(f"wrote {out}/{{{','.join(files + [MANIFEST_JSON])}}}")
+    for name, text in texts.items():  # untranslated, as digested above
+        (out / name).write_text(text, encoding="utf-8", newline="")
+    print(f"wrote {out}/{{{','.join(texts)}}}")
     return 0
 
 
+def _artifact_texts(base, manifest):
+    """{name: text} of each file that manifest.json lists.  Format 2 maps
+    each name to the SHA-256 of its bytes and refuses a file that is
+    missing or differs; before it, with no format key, names stood alone."""
+    where = base / MANIFEST_JSON
+    manifest = manifest if isinstance(manifest, dict) else {}
+    form, files = manifest.get("format"), manifest.get("files")
+    if form is None and isinstance(files, list):
+        return {name: _read(base / name) for name in files}
+    if form != FORMAT:
+        raise FstMorphError(f"{where}: unknown format {form!r}, expected "
+                            f"{FORMAT}")
+    files = files if isinstance(files, dict) else {}
+    texts = {}
+    for name in sorted({GENERATOR_ATT, SYMBOLS_TSV, *files}):
+        path = base / name
+        if name not in files:
+            raise FstMorphError(f"{where}: files lacks {name}")
+        if not path.is_file():
+            raise FstMorphError(f"{path}: listed in {where} but missing")
+        data = path.read_bytes()
+        if sha256(data).hexdigest() != files[name]:
+            raise FstMorphError(f"{path}: SHA-256 differs from the one "
+                                f"{where} lists")
+        texts[name] = data.decode("utf-8")
+    return texts
+
+
 def _load_artifacts(artifact_dir):
+    """The pipeline of an artifact directory; its analyzer is derived, or
+    read from analyzer.att in a directory from before format 2."""
     base = pathlib.Path(artifact_dir)
-    table = att.import_symbols(_read(base / SYMBOLS_TSV))
+    texts = _artifact_texts(base, json.loads(_read(base / MANIFEST_JSON)))
+    table = att.import_symbols(texts[SYMBOLS_TSV])
     table.freeze()
-    generator = att.import_att(_read(base / GENERATOR_ATT), table)
-    analyzer = att.import_att(_read(base / ANALYZER_ATT), table)
+    generator = att.import_att(texts[GENERATOR_ATT], table)
+
+    def read_map(name, parse):
+        if name in texts:
+            return parse(texts[name], table, str(base / name))
+
+    orthography = read_map(ORTHOGRAPHY_TSV, lookup.parse_orthography_file)
+    analyzer = (att.import_att(texts[ANALYZER_ATT], table)
+                if ANALYZER_ATT in texts
+                else lookup.analyzer_of(generator, orthography))
     rows = {}
-    gloss_path = base / GLOSSES_TSV
-    if gloss_path.exists():
-        for lineno, line in enumerate(_read(gloss_path).splitlines(), 1):
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ParseError(f"expected 3 tab-separated fields: {line!r}",
-                                 filename=str(gloss_path), line=lineno)
-            lemma, pos, gloss = fields
-            rows.setdefault((lemma, pos), []).append(gloss)
-    manifest = json.loads(_read(base / MANIFEST_JSON))
-    relax = None
-    if RELAX_TSV in manifest.get("files", ()):
-        spec = lookup.parse_mapping_file(
-            _read(base / RELAX_TSV), table, str(base / RELAX_TSV))
-        relax = lookup.build_relax(table, spec, analyzer.input_labels())
-    return lookup.Pipeline(table, generator, analyzer, relax, rows)
+    for lineno, line in enumerate(texts.get(GLOSSES_TSV, "").splitlines(),
+                                  1):
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise ParseError(f"expected 3 tab-separated fields: {line!r}",
+                             filename=str(base / GLOSSES_TSV), line=lineno)
+        lemma, pos, gloss = fields
+        rows.setdefault((lemma, pos), []).append(gloss)
+    relax = read_map(RELAX_TSV, lookup.parse_mapping_file)
+    return lookup.Pipeline(table, generator, analyzer, dict(relax or ()),
+                           rows)
 
 
 def cmd_lookup(args):

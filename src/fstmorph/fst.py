@@ -1,9 +1,10 @@
 """Unweighted finite-state transducers and the algorithm suite.
 
 Transducers are immutable after construction: every operation returns a
-fresh, trimmed machine with deterministically ordered arcs and BFS state
-numbering, so identical inputs give bit-identical results.  Arc labels
-are symbol ids from one shared SymbolTable; id 0 is epsilon.
+fresh machine with deterministically ordered arcs, so identical inputs
+give bit-identical results: trimmed with BFS state numbering, except that
+invert and relabel keep the states of their input, trimmed if it was.
+Arc labels are symbol ids from one shared SymbolTable; id 0 is epsilon.
 
 A machine carries ``deterministic=True`` only when its construction
 guarantees a trimmed, BFS-numbered DFA: the outputs of determinize,
@@ -316,14 +317,26 @@ def star(a: Transducer) -> Transducer:
 
 def invert(a: Transducer) -> Transducer:
     arcs = [(s, o, i, d) for s, i, o, d in a.arcs]
-    return _trim(a.table, a.num_states, a.start, a.finals, arcs)
+    return Transducer(a.table, a.num_states, a.start, a.finals, arcs)
 
 
-def reverse(a: Transducer) -> Transducer:
-    off = 1  # fresh start state 0
-    arcs = [(d + off, i, o, s + off) for s, i, o, d in a.arcs]
-    arcs += [(0, EPSILON_ID, EPSILON_ID, f + off) for f in a.finals]
-    return _trim(a.table, a.num_states + 1, 0, {a.start + off}, arcs)
+def relabel(a: Transducer, mapping, side: str, keep=False) -> Transducer:
+    """a with each arc whose label on side ("input" or "output") is a key
+    of mapping, {symbol: [variants]}, put once per variant in its place
+    (EPSILON_ID deletes it), and kept as it is too if keep.  That is a
+    composed with a one-state map, the identity off the keys (or on the
+    input side, that map inverted, composed before a), done arc by arc."""
+    if side not in ("input", "output"):
+        raise ValueError(f"bad relabel side {side!r}")
+    at = 1 if side == "input" else 2
+    arcs = []
+    for arc in a.arcs:
+        variants = mapping.get(arc[at])
+        if variants is None or keep:
+            arcs.append(arc)
+        if variants:
+            arcs += [arc[:at] + (v,) + arc[at + 1:] for v in variants]
+    return Transducer(a.table, a.num_states, a.start, a.finals, arcs)
 
 
 def project(a: Transducer, side: str) -> Transducer:
@@ -692,5 +705,16 @@ def lookup_paths(a: Transducer, ids, max_count: int) -> PathSet:
 
 
 def is_empty(a: Transducer) -> bool:
-    # machines are trimmed on construction, so emptiness == no finals
-    return len(a.finals) == 0
+    """No final state is reachable from the start.  A machine flagged
+    deterministic is trimmed, so only its finals need a look."""
+    if a.deterministic or not a.finals:
+        return not a.finals
+    seen, stack = {a.start}, [a.start]
+    while stack:
+        q = stack.pop()
+        if q in a.finals:
+            return False
+        ahead = {arc[3] for arc in a.arcs_from(q)} - seen
+        seen |= ahead
+        stack += ahead
+    return True

@@ -1,14 +1,19 @@
 """End-to-end generator/analyzer assembly and apply-up/apply-down lookup.
 
-The generator is the lexicon composed with the compiled rule transducer;
-the analyzer is its inversion.  Two orthography modes are supported:
+The generator is the lexicon with the two-level rules applied
+(twol.apply_rules); the analyzer is its inversion.  Two orthography
+modes are supported:
 
 * pedagogical (default): surface forms keep the enriched spelling; the
   analyzer additionally accepts the normative spelling of each form.
-* normative: the orthography filter is composed onto the surface side,
-  so no pedagogical-only symbol ever surfaces.
+* normative: the generator's surface side is relabelled by the
+  orthography map, so no pedagogical-only symbol ever surfaces.
 
-A spell-relax transducer, when configured, lets analysis fall back to
+Each map relabels the arcs of one side of a machine (fst.relabel), and
+analyzer_of derives the analyzer from the generator and the orthography
+map, so an artifact directory stores only those two.
+
+A spell-relax map, when configured, lets analysis fall back to
 orthographic variants; such readings carry relaxed=True.
 """
 
@@ -38,69 +43,30 @@ class Pipeline:
     table: SymbolTable
     generator: fst.Transducer
     analyzer: fst.Transducer
-    relax: fst.Transducer = None
+    relax: dict = None  # {strict symbol id: [variant ids]}
     glosses: dict = field(default_factory=dict)  # as lexc.extract_glosses
     _relaxed_analyzer: fst.Transducer = field(default=None, init=False,
                                               repr=False, compare=False)
 
     def relaxed_analyzer(self) -> fst.Transducer:
-        """The analyzer read through the inverted relax map: surface
-        variants in, analyses out.  Built on the first relaxed lookup and
-        kept, so neither compile nor a cold start pays for it."""
+        """The analyzer with its input side relabelled by the relax map,
+        the strict arcs kept, so that it also reads each variant.  Built on
+        the first relaxed lookup and kept: compile and cold starts skip it."""
         if self._relaxed_analyzer is None:
-            self._relaxed_analyzer = fst.compose(fst.invert(self.relax),
-                                                 self.analyzer)
+            self._relaxed_analyzer = fst.relabel(self.analyzer, self.relax,
+                                                 "input", keep=True)
         return self._relaxed_analyzer
 
 
-def _mapping_transducer(table, alphabet_ids, mapping, keep_original):
-    """One-state transducer: identity over alphabet_ids except that each
-    key of mapping rewrites to its variants (and, if keep_original, may
-    also stay put).  A variant of EPSILON_ID deletes the key."""
-    arcs = []
-    seen_keys = set()
-    mapped = set()
-    for key, variants in mapping:
-        if key in seen_keys:
-            raise FstMorphError(
-                f"duplicate mapping for symbol {table.resolve(key)!r}")
-        seen_keys.add(key)
-        for v in variants:
-            arcs.append((0, key, v, 0))
-            mapped.add(v)
-        if keep_original:
-            arcs.append((0, key, key, 0))
-    for sid in set(alphabet_ids) | mapped:
-        if sid != EPSILON_ID and sid not in seen_keys:
-            arcs.append((0, sid, sid, 0))
-    return fst.Transducer(table, 1, 0, {0}, arcs)
-
-
-def build_orthography_filter(table, mapping, alphabet_ids) -> fst.Transducer:
-    """Strict pedagogical→normative rewriting, identity elsewhere.
-
-    mapping: list of (pedagogical symbol id, normative symbol id).
-    """
-    if not mapping:
-        raise FstMorphError("orthography mapping is empty")
-    keys = {k for k, _ in mapping}
-    for _, v in mapping:
-        if v in keys:
-            raise FstMorphError(
-                f"normative symbol {table.resolve(v)!r} is also a "
-                "pedagogical key")
-    return _mapping_transducer(
-        table, alphabet_ids, [(k, [v]) for k, v in mapping],
-        keep_original=False)
-
-
-def build_relax(table, spec, alphabet_ids) -> fst.Transducer:
-    """Surface→surface transducer reading each strict symbol also from
-    its accepted variants (EPSILON_ID variant: the symbol may be absent).
-
-    spec: list of (strict symbol id, list of variant ids).
-    """
-    return _mapping_transducer(table, alphabet_ids, spec, keep_original=True)
+def analyzer_of(generator, orthography=None) -> fst.Transducer:
+    """The inverted generator, also reading the normative spelling of each
+    symbol that orthography, a list of (pedagogical id, normative id),
+    maps: no arc of a normative generator writes one."""
+    analyzer = fst.invert(generator)
+    if orthography:
+        analyzer = fst.relabel(analyzer, {k: [v] for k, v in orthography},
+                               "input", keep=True)
+    return analyzer
 
 
 def _check_leaks(generator, table):
@@ -112,43 +78,6 @@ def _check_leaks(generator, table):
             "trigger or archiphoneme symbols leak to the surface: "
             + ", ".join(leaked)
             + " (no rule realizes them; check the rule file's Alphabet)")
-
-
-def _sample_path(machine, max_len=40):
-    paths = fst.enumerate_paths(machine, max_len, 1)
-    return paths.pairs[0] if paths.pairs else None
-
-
-def _restricted_rules(lexicon, ruleset):
-    """Rule transducer restricted to the lexicon's stem-side strings.
-
-    Intersecting the full rule set over the whole pair alphabet can
-    explode; constraining the pair strings to those whose lexical
-    projection the lexicon actually emits (with insertion pairs allowed
-    anywhere) keeps every intermediate automaton lexicon-sized while
-    leaving the composed generator unchanged.
-    """
-    table = ruleset.table
-    stems = fst.minimize(fst.project(lexicon, side="output"))
-    by_lex = {}
-    insertions = []
-    for pid in ruleset.alphabet.pair_ids():
-        l, _ = table.pair_parts(pid)
-        if l == EPSILON_ID:
-            insertions.append(pid)
-        else:
-            by_lex.setdefault(l, []).append(pid)
-    arcs = []
-    for src, i, _, dst in stems.arcs:
-        for pid in by_lex.get(i, ()):
-            arcs.append((src, pid, pid, dst))
-    for q in range(stems.num_states):
-        for pid in insertions:
-            arcs.append((q, pid, pid, q))
-    domain = fst.Transducer(table, stems.num_states, stems.start,
-                            stems.finals, arcs)
-    return twol.pairs_to_transducer(
-        twol.combine_rules(ruleset, domain=domain), table)
 
 
 def build_pipeline(lexicon_ast: lexc.LexiconAst, ruleset: twol.RuleSet,
@@ -164,38 +93,25 @@ def build_pipeline(lexicon_ast: lexc.LexiconAst, ruleset: twol.RuleSet,
         raise FstMorphError(f"unknown mode {mode!r}")
     table = lexicon_ast.table
     lexicon = lexc.compile_lexicon(lexicon_ast)
-    rules = _restricted_rules(lexicon, ruleset)
-    generator = fst.compose(lexicon, rules)
+    generator = twol.apply_rules(lexicon, ruleset)
     if fst.is_empty(generator):
-        sample = _sample_path(lexicon)
+        sample = fst.enumerate_paths(lexicon, 40, 1).pairs
         hint = ""
-        if sample is not None:
+        if sample:
             hint = (" (example lexicon string with no rule-conforming "
-                    f"realization: {table.render(sample[0])!r})")
+                    f"realization: {table.render(sample[0][0])!r})")
         raise PipelineError("generator relation is empty: no lexicon "
                             "string passes the rules" + hint)
     _check_leaks(generator, table)
 
-    surf = generator.output_labels()
-    analyzer_source = generator
     if mode == "normative":
         if not orthography:
             raise FstMorphError("normative mode requires an orthography "
                                 "mapping")
-        filt = build_orthography_filter(table, orthography, surf)
-        generator = fst.compose(generator, filt)
-        analyzer_source = generator
-    elif orthography:
-        # Accept the normative spelling of every form as well.
-        opt = build_relax(table, [(k, [v]) for k, v in orthography], surf)
-        analyzer_source = fst.compose(generator, opt)
-
-    analyzer = fst.invert(analyzer_source)
-    relax = None
-    if relax_spec:
-        relax = build_relax(table, relax_spec,
-                            analyzer_source.output_labels())
-    return Pipeline(table, generator, analyzer, relax,
+        generator = fst.relabel(generator, {k: [v] for k, v in orthography},
+                                "output")
+    return Pipeline(table, generator, analyzer_of(generator, orthography),
+                    dict(relax_spec or ()),
                     lexc.extract_glosses(lexicon_ast))
 
 
@@ -232,7 +148,7 @@ def analyze(pipeline: Pipeline, surface: str, max_count: int = 100) -> list:
     strict = fst.lookup_paths(pipeline.analyzer, ids, max_count)
     if strict.pairs:
         return _analyses(pipeline, strict, False)
-    if pipeline.relax is None:
+    if not pipeline.relax:
         return []
     return _analyses(pipeline, fst.lookup_paths(
         pipeline.relaxed_analyzer(), ids, max_count), True)
@@ -245,12 +161,10 @@ def load_pipeline(lexc_texts, twol_text, mode: str = "pedagogical",
     table = SymbolTable()
     ast = lexc.parse_lexc([(None, text) for text in lexc_texts], table)
     ruleset = twol.parse_twol(twol_text, table)
-    orthography = None
-    if orthography_text is not None:
-        orthography = parse_orthography_file(orthography_text, table)
-    relax_spec = None
-    if relax_text is not None:
-        relax_spec = parse_mapping_file(relax_text, table)
+    orthography = (None if orthography_text is None
+                   else parse_orthography_file(orthography_text, table))
+    relax_spec = (None if relax_text is None
+                  else parse_mapping_file(relax_text, table))
     return build_pipeline(ast, ruleset, mode, orthography, relax_spec)
 
 

@@ -25,7 +25,8 @@ rules compile.
 combine_rules intersects the compiled rules into one acceptor by one
 fold.  Every intersect returns a canonical minimal DFA, so only the
 order of the fold is chosen, for speed: domain-led when a lexicon
-domain is given, in pairwise rounds when not.
+domain is given, in pairwise rounds when not.  apply_rules folds over
+the lexicon's domain and composes the lexicon with the result.
 """
 
 from __future__ import annotations
@@ -625,3 +626,25 @@ def pairs_to_transducer(acceptor: fst.Transducer,
             arcs.append((src, l, s, dst))
     return fst.Transducer(table, acceptor.num_states, acceptor.start,
                           acceptor.finals, arcs)
+
+
+def apply_rules(lexicon: fst.Transducer, ruleset: RuleSet) -> fst.Transducer:
+    """The generator: lexicon composed with the rules, which are combined
+    only over the pair strings whose lexical side the lexicon emits
+    (insertion pairs anywhere).  Over all pair strings the combination
+    can explode; this keeps every machine lexicon-sized and leaves the
+    generator unchanged."""
+    table = ruleset.table
+    stems = fst.minimize(fst.project(lexicon, side="output"))
+    by_lex = {}  # lexical symbol: the pairs over it
+    for pid in ruleset.alphabet.pair_ids():
+        by_lex.setdefault(table.pair_parts(pid)[0], []).append(pid)
+    insertions = by_lex.pop(EPSILON_ID, [])
+    arcs = [(src, pid, pid, dst) for src, i, _, dst in stems.arcs
+            for pid in by_lex.get(i, ())]
+    arcs += [(q, pid, pid, q) for q in range(stems.num_states)
+             for pid in insertions]
+    domain = fst.Transducer(table, stems.num_states, stems.start,
+                            stems.finals, arcs)
+    rules = pairs_to_transducer(combine_rules(ruleset, domain=domain), table)
+    return fst.compose(lexicon, rules)

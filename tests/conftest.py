@@ -160,6 +160,37 @@ def random_transducer(table, sym_ids, rng, max_states=4, max_arcs=8,
     return fst._trim(table, n, 0, finals, arcs)
 
 
+def mapping_transducer(table, alphabet_ids, mapping, keep_original):
+    """One-state transducer: identity over alphabet_ids except that each
+    key of mapping, {symbol: [variants]}, rewrites to its variants (and,
+    if keep_original, may also stay put).  A variant of EPSILON_ID
+    deletes the key.  Composing with it is the reference for
+    fst.relabel."""
+    arcs = []
+    for key, variants in mapping.items():
+        arcs += [(0, key, v, 0) for v in variants]
+        if keep_original:
+            arcs.append((0, key, key, 0))
+    mapped = {v for variants in mapping.values() for v in variants}
+    for sid in set(alphabet_ids) | mapped:
+        if sid != EPSILON_ID and sid not in mapping:
+            arcs.append((0, sid, sid, 0))
+    return fst.Transducer(table, 1, 0, {0}, arcs)
+
+
+def composed_relabel(machine, mapping, side, keep=False):
+    """The composition that fst.relabel(machine, mapping, side, keep)
+    stands for: the mapping transducer over machine's labels on side
+    composed after machine (output side) or inverted before it (input
+    side)."""
+    labels = (machine.input_labels() if side == "input"
+              else machine.output_labels())
+    mapper = mapping_transducer(machine.table, labels, mapping, keep)
+    if side == "input":
+        return fst.compose(fst.invert(mapper), machine)
+    return fst.compose(machine, mapper)
+
+
 def random_ruleset(rng, num_rules=1, num_letters=3, num_contexts=(1, 2)):
     """A small random rule set built directly as an AST; each rule has
     between num_contexts[0] and num_contexts[1] contexts."""
@@ -276,6 +307,14 @@ def reference_determinize(a):
     return fst._trim(a.table, n, 0, finals, arcs, deterministic=True)
 
 
+def reverse(a):
+    """The reversal of a: arcs turned round, a fresh start state with an
+    epsilon arc to each final, the old start the one final; trimmed."""
+    arcs = [(d + 1, i, o, s + 1) for s, i, o, d in a.arcs]
+    arcs += [(0, EPSILON_ID, EPSILON_ID, f + 1) for f in a.finals]
+    return fst._trim(a.table, a.num_states + 1, 0, {a.start + 1}, arcs)
+
+
 def reversed_combine(ruleset):
     """The rule combination built the other way round, a reference for
     twol.combine_rules: the left fold of the reversed compiled rules,
@@ -283,12 +322,12 @@ def reversed_combine(ruleset):
     ends in an accessible DFA, so by Brzozowski's theorem the result is
     the minimal DFA of the rules' intersection, canonically numbered;
     one rule reversed twice determinizes back to itself."""
-    machines = [fst.reverse(twol.compile_rule(r, ruleset))
+    machines = [reverse(twol.compile_rule(r, ruleset))
                 for r in ruleset.rules]
     acc = machines[0]
     for m in machines[1:]:
         acc = fst.intersect(acc, m)
-    return fst.determinize(fst.reverse(acc))
+    return fst.determinize(reverse(acc))
 
 
 def same_machine(a, b):

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from fstmorph import cli, testkit
+from fstmorph import cli, lookup, testkit
 
 from conftest import FIXTURE_DIR, LONG_ROOT, long_root_roots
 
@@ -41,15 +41,22 @@ def run(argv, stdin_text=None, monkeypatch=None):
     return cli.main(argv)
 
 
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def test_compile_writes_artifacts(artifacts):
     names = {p.name for p in artifacts.iterdir()}
-    assert names == {"generator.att", "analyzer.att", "symbols.tsv",
-                     "glosses.tsv", "relax.tsv", "manifest.json"}
+    assert names == {"generator.att", "symbols.tsv", "glosses.tsv",
+                     "orthography.tsv", "relax.tsv", "manifest.json"}
     manifest = json.loads((artifacts / "manifest.json").read_text())
-    assert manifest["files"] == ["generator.att", "analyzer.att",
-                                 "symbols.tsv", "glosses.tsv", "relax.tsv"]
+    assert manifest == {"format": 2, "mode": "pedagogical",
+                        "files": {name: sha256(artifacts / name)
+                                  for name in names - {"manifest.json"}}}
     assert (artifacts / "relax.tsv").read_text(encoding="utf-8") == \
         "g\t0\nʹ\t0\nẹ\te\n"
+    assert (artifacts / "orthography.tsv").read_text(encoding="utf-8") == \
+        "ẹ\te\n"
 
 
 def test_compile_without_relax_writes_no_relax_map(tmp_path):
@@ -63,8 +70,8 @@ def test_compile_without_relax_writes_no_relax_map(tmp_path):
 def test_compile_deterministic(artifacts, tmp_path):
     again = tmp_path / "again"
     assert cli.main(["compile", *full_args(), "--out", str(again)]) == 0
-    for name in ("generator.att", "analyzer.att", "symbols.tsv",
-                 "glosses.tsv", "relax.tsv", "manifest.json"):
+    for name in ("generator.att", "symbols.tsv", "glosses.tsv",
+                 "orthography.tsv", "relax.tsv", "manifest.json"):
         assert (again / name).read_bytes() == (artifacts / name).read_bytes()
 
 
@@ -72,56 +79,123 @@ def test_compile_deterministic(artifacts, tmp_path):
 ARTIFACT_DIGESTS = {
     "generator.att":
         "1e95cc681d4b317e0369fd807fd9bb55eba5e5372294b458380479e3200af4ab",
-    "analyzer.att":
-        "eb08ae9346cfc28053f135ce580e58b67efdb61fde16d42514718d308b5f8254",
 }
-
-
-def test_fixture_artifacts_are_pinned(artifacts):
-    for name, digest in ARTIFACT_DIGESTS.items():
-        assert hashlib.sha256((artifacts / name).read_bytes()).hexdigest() \
-            == digest, name
-
 
 # SHA-256 of the artifacts of the benchmark's seed-1 synthetic grammar
 # (bench/inputs.py), built with its orthography and relax map
 SYNTH_DIGESTS = {
     "generator.att":
         "540c1cd7e0d293e057dae20e07d1b11206775aea9660172a82d4bf32772fa4ae",
-    "analyzer.att":
+}
+
+# SHA-256 of the normative-mode generator.att of the same two builds
+NORMATIVE_DIGESTS = {
+    "fixture":
+        "f729f79c1662549635fac840f827c43c9cf75613c1c653cf71cbf46502e42513",
+    "synth":
+        "fa96aec4129f07a93a0eb298bb37abf717a09c73206c15641b27fe02e8e3e08b",
+}
+
+# SHA-256 of `fstmorph export-att DIR --which analyzer` on those builds:
+# the analyzer.att that compile wrote into DIR before format 2
+ANALYZER_DIGESTS = {
+    ("fixture", "pedagogical"):
+        "eb08ae9346cfc28053f135ce580e58b67efdb61fde16d42514718d308b5f8254",
+    ("synth", "pedagogical"):
         "8ddc85a76c991ab7460ea8e81ff8f1e936288ae099af011b11763652ad11401f",
+    ("fixture", "normative"):
+        "f3d0a8b0322d44355d19fe41067d10eda70ea4a6be7c1012d353796ca1ed09c9",
+    ("synth", "normative"):
+        "e035dad87ed1a7d00322089b1a17273d3ab10391e3600d58a30bed58ac09578f",
 }
 
 
-def test_synthetic_artifacts_are_pinned(tmp_path):
+def exported_analyzer(out, capsys):
+    capsys.readouterr()
+    assert cli.main(["export-att", str(out), "--which", "analyzer"]) == 0
+    return capsys.readouterr().out
+
+
+def analyzer_digest(out, capsys):
+    return hashlib.sha256(
+        exported_analyzer(out, capsys).encode("utf-8")).hexdigest()
+
+
+def synth_args(tmp_path):
     files = inputs.write_synth_grammar(1, tmp_path / "grammar").files
-    sources = [str(files["roots.lexc"]), str(files["affixes.lexc"]),
-               "--rules", str(files["phonology.twol"]),
-               "--orthography", str(files["orthography.tsv"]),
-               "--relax", str(files["relax.tsv"])]
+    return [str(files["roots.lexc"]), str(files["affixes.lexc"]),
+            "--rules", str(files["phonology.twol"]),
+            "--orthography", str(files["orthography.tsv"]),
+            "--relax", str(files["relax.tsv"])]
+
+
+def test_fixture_artifacts_are_pinned(artifacts, capsys):
+    for name, digest in ARTIFACT_DIGESTS.items():
+        assert sha256(artifacts / name) == digest, name
+    assert analyzer_digest(artifacts, capsys) == \
+        ANALYZER_DIGESTS["fixture", "pedagogical"]
+
+
+def test_synthetic_artifacts_are_pinned(tmp_path, capsys):
     out = tmp_path / "out"
-    assert cli.main(["compile", *sources, "--out", str(out)]) == 0
+    assert cli.main(["compile", *synth_args(tmp_path), "--out", str(out)]) \
+        == 0
     for name, digest in SYNTH_DIGESTS.items():
-        assert hashlib.sha256((out / name).read_bytes()).hexdigest() \
-            == digest, name
+        assert sha256(out / name) == digest, name
+    assert analyzer_digest(out, capsys) == \
+        ANALYZER_DIGESTS["synth", "pedagogical"]
+
+
+def test_normative_artifacts_are_pinned(tmp_path, capsys):
+    for grammar, args in [("fixture", full_args()),
+                          ("synth", synth_args(tmp_path))]:
+        out = tmp_path / grammar
+        assert cli.main(["compile", *args, "--mode", "normative",
+                         "--out", str(out)]) == 0
+        assert sha256(out / "generator.att") == NORMATIVE_DIGESTS[grammar]
+        assert analyzer_digest(out, capsys) == \
+            ANALYZER_DIGESTS[grammar, "normative"]
+
+
+def copy_dir(src, dest):
+    dest.mkdir()
+    for p in src.iterdir():
+        (dest / p.name).write_bytes(p.read_bytes())
+    return dest
+
+
+def rewrite_artifact(directory, name, text):
+    """Write name into directory and its SHA-256 into the manifest, as
+    compile would have."""
+    data = text.encode("utf-8")
+    (directory / name).write_bytes(data)
+    path = directory / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["files"][name] = hashlib.sha256(data).hexdigest()
+    path.write_text(json.dumps(manifest))
 
 
 def test_a_manifest_from_before_still_loads(artifacts, tmp_path, capsys,
                                             monkeypatch):
-    """A fresh manifest holds only files and mode.  Directories written
-    when compile also recorded "strategy": "direct" load, and look words
-    up as a fresh build does."""
-    manifest = json.loads((artifacts / "manifest.json").read_text())
-    assert set(manifest) == {"files", "mode"}
+    """A directory from before format 2 has no format key and lists its
+    files without digests.  It holds analyzer.att and no orthography.tsv
+    (some also recorded "strategy": "direct").  It loads by reading
+    analyzer.att, whose arcs alone read the normative spellings, and
+    looks words up as a fresh build does."""
     old = tmp_path / "old"
     old.mkdir()
-    for p in artifacts.iterdir():
-        (old / p.name).write_bytes(p.read_bytes())
+    files = ["generator.att", "analyzer.att", "symbols.tsv", "glosses.tsv",
+             "relax.tsv"]
+    for name in files[:1] + files[2:]:
+        (old / name).write_bytes((artifacts / name).read_bytes())
+    (old / "analyzer.att").write_text(exported_analyzer(artifacts, capsys),
+                                      encoding="utf-8")
     (old / "manifest.json").write_text(json.dumps(
-        dict(manifest, strategy="direct"), indent=2, sort_keys=True) + "\n")
+        {"files": files, "mode": "pedagogical", "strategy": "direct"},
+        indent=2, sort_keys=True) + "\n")
     for direction, words in [
             ("down", "algg+N+Sg+Loc+PxSg1\nveʹrdd+N+Pl+Gen\nnope+N\n"),
-            ("up", "aalǥ\nviirdi\nkueʹtt\nzzzz\n")]:
+            ("up", "aalǥ\nviirdi\nkueʹtt\nkuẹʹtt\nzzzz\n")]:
         outputs = []
         for out in (artifacts, old):
             assert run(["lookup", str(out), "--direction", direction],
@@ -129,6 +203,30 @@ def test_a_manifest_from_before_still_loads(artifacts, tmp_path, capsys,
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
         assert outputs[0].count("\t+?") == 1, outputs[0]
+    (reading,) = lookup.analyze(cli._load_artifacts(old), "kueʹtt")
+    assert not reading.relaxed  # read strictly, through analyzer.att
+
+
+@pytest.mark.parametrize("damage, message", [
+    ("format", "manifest.json: unknown format 3, expected 2"),
+    ("missing", "orthography.tsv: listed in "),
+    ("digest", "generator.att: SHA-256 differs from the one "),
+])
+def test_a_damaged_directory_is_refused(artifacts, tmp_path, capsys,
+                                        monkeypatch, damage, message):
+    broken = copy_dir(artifacts, tmp_path / "broken")
+    if damage == "format":
+        manifest = json.loads((broken / "manifest.json").read_text())
+        (broken / "manifest.json").write_text(
+            json.dumps(dict(manifest, format=3)))
+    elif damage == "missing":
+        (broken / "orthography.tsv").unlink()
+    else:
+        with open(broken / "generator.att", "a", encoding="utf-8") as f:
+            f.write("0\n")
+    for argv in (["lookup", str(broken)], ["export-att", str(broken)]):
+        assert run(argv, "radio\n", monkeypatch) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_a_second_orthography_row_for_one_symbol_fails_compile(tmp_path,
@@ -208,11 +306,8 @@ def test_lookup_takes_no_input_length_bound(artifacts, capsys, monkeypatch):
 
 def test_relax_map_with_unknown_symbol_is_usage_error(artifacts, tmp_path,
                                                       capsys, monkeypatch):
-    broken = tmp_path / "broken"
-    broken.mkdir()
-    for p in artifacts.iterdir():
-        (broken / p.name).write_bytes(p.read_bytes())
-    (broken / "relax.tsv").write_text("q\t0\n", encoding="utf-8")
+    broken = copy_dir(artifacts, tmp_path / "broken")
+    rewrite_artifact(broken, "relax.tsv", "q\t0\n")
     assert run(["lookup", str(broken)], "", monkeypatch) == 2
     assert "relax.tsv:1: " in capsys.readouterr().err
 
@@ -367,13 +462,9 @@ def test_import_att_rejects_unknown_symbol(artifacts, tmp_path, capsys):
 
 def test_malformed_glosses_is_usage_error(artifacts, tmp_path, capsys,
                                           monkeypatch):
-    broken = tmp_path / "broken"
-    broken.mkdir()
-    for p in artifacts.iterdir():
-        (broken / p.name).write_bytes(p.read_bytes())
+    broken = copy_dir(artifacts, tmp_path / "broken")
     glosses = (broken / "glosses.tsv").read_text(encoding="utf-8")
-    (broken / "glosses.tsv").write_text(glosses + "stray line\n",
-                                        encoding="utf-8")
+    rewrite_artifact(broken, "glosses.tsv", glosses + "stray line\n")
     line = len(glosses.splitlines()) + 1
     assert run(["lookup", str(broken)], "radio\n", monkeypatch) == 2
     assert f"glosses.tsv:{line}: " in capsys.readouterr().err

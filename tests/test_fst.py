@@ -7,9 +7,9 @@ from fstmorph import fst, twol
 from fstmorph.errors import NotAnAcceptorError
 from fstmorph.symbols import EPSILON_ID, SymbolTable
 
-from conftest import (accepts, equivalent_acceptors, language,
-                      random_acceptor, random_transducer,
-                      reference_determinize, same_machine)
+from conftest import (accepts, composed_relabel, equivalent_acceptors,
+                      language, random_acceptor, random_transducer,
+                      reference_determinize, reverse, same_machine)
 
 
 @pytest.fixture
@@ -110,7 +110,7 @@ def test_minimize_canonical(table):
     rng = random.Random(3)
     for _ in range(100):
         a = random_acceptor(table, sym_ids, rng)
-        variant = fst.determinize(fst.reverse(fst.determinize(fst.reverse(a))))
+        variant = fst.determinize(reverse(fst.determinize(reverse(a))))
         m1 = fst.minimize(a)
         m2 = fst.minimize(variant)
         assert m1.num_states == m2.num_states
@@ -167,8 +167,8 @@ def test_brzozowski_determinize_of_reverse_is_minimal(table):
     rng = random.Random(5)
     for _ in range(300):
         a = random_acceptor(table, sym_ids, rng)
-        brz = fst.determinize(fst.reverse(fst.minimize(a)))
-        m = fst.minimize(fst.reverse(a))
+        brz = fst.determinize(reverse(fst.minimize(a)))
+        m = fst.minimize(reverse(a))
         assert (brz.num_states, brz.start, brz.finals, brz.arcs) == \
             (m.num_states, m.start, m.finals, m.arcs)
 
@@ -195,7 +195,7 @@ def pair_product(a, b):
 
 
 def brzozowski(t):
-    return fst.determinize(fst.reverse(fst.determinize(fst.reverse(t))))
+    return fst.determinize(reverse(fst.determinize(reverse(t))))
 
 
 def test_intersect_is_the_minimal_pair_product(table, fixture_parsed):
@@ -274,7 +274,7 @@ def test_determinize_matches_the_frozenset_reference(table, fixture_parsed):
         r = twol.compile_rule(rule, ruleset)
         copy = fst.Transducer(r.table, r.num_states, r.start, r.finals,
                               r.arcs)
-        for nfa in (copy, fst.reverse(r)):
+        for nfa in (copy, reverse(r)):
             assert same_machine(fst.determinize(nfa),
                                 reference_determinize(nfa))
 
@@ -316,8 +316,48 @@ def test_invert_and_reverse_are_involutions(table):
                         max_count=100000) == rel
         assert relation(fst.invert(t), max_len=10, max_count=100000) == \
             {(o, i) for i, o in rel}
-        rev_rel = relation(fst.reverse(t), max_len=10, max_count=100000)
+        rev_rel = relation(reverse(t), max_len=10, max_count=100000)
         assert rev_rel == {(i[::-1], o[::-1]) for i, o in rel}
+
+
+def test_relabel_is_composition_with_the_mapping_transducer(table):
+    """On random machines and random maps, relabel gives the relation of
+    the composition it stands for.  The maps have epsilon variants, keys
+    that the machine lacks ('d' is on no arc), and keep or not."""
+    sym_ids = ids(table, "abcd")
+    rng = random.Random(1601)
+
+    def exact(machine):
+        paths = fst.enumerate_paths(machine, 10, 10**6)
+        assert not paths.truncated
+        return set(paths.pairs)
+
+    kept = 0
+    for _ in range(300):
+        t = random_transducer(table, sym_ids[:3], rng, acyclic=True)
+        mapping = {key: rng.sample(sym_ids + [EPSILON_ID], rng.randint(1, 2))
+                   for key in rng.sample(sym_ids, rng.randint(1, 3))}
+        side = rng.choice(("input", "output"))
+        keep = rng.random() < 0.5
+        got = fst.relabel(t, mapping, side, keep)
+        assert (got.num_states, got.start, got.finals) == \
+            (t.num_states, t.start, t.finals)
+        want = exact(composed_relabel(t, mapping, side, keep))
+        assert exact(got) == want, (t.arcs, mapping, side, keep)
+        kept += keep and want != exact(composed_relabel(t, mapping, side))
+    assert kept > 30  # keeping the originals changed the relation
+
+
+def test_is_empty_looks_for_a_reachable_final(table):
+    a = ids(table, "a")[0]
+    assert fst.is_empty(fst.Transducer(table, 2, 0, {1}, []))
+    assert fst.is_empty(fst.Transducer(table, 3, 0, {2},
+                                       [(0, a, a, 1), (2, a, a, 0)]))
+    assert fst.is_empty(fst.invert(fst.Transducer(table, 2, 0, {1}, [])))
+    assert not fst.is_empty(fst.Transducer(table, 2, 0, {1},
+                                           [(0, a, a, 1)]))
+    assert not fst.is_empty(fst.epsilon_machine(table))
+    assert fst.is_empty(fst.empty(table))
 
 
 def test_project(table):

@@ -131,7 +131,7 @@ def test_a_normative_symbol_that_is_also_a_key_is_located():
 
 
 # ---------------------------------------------------------------------------
-# orthography filter and relax transducer in isolation
+# the orthography and relax maps as relabels, in isolation
 
 @pytest.fixture
 def small_table():
@@ -141,8 +141,8 @@ def small_table():
     return t
 
 
-def alphabet(table):
-    return [table.id_of(c) for c in "aeẹk"]
+def identity(table):
+    return fst.sigma_star(table, [table.id_of(c) for c in "aeẹk"])
 
 
 def apply_filter(machine, table, text):
@@ -153,46 +153,47 @@ def apply_filter(machine, table, text):
 
 
 def test_orthography_filter_maps_and_passes_through(small_table):
-    mapping = [(small_table.id_of("ẹ"), small_table.id_of("e"))]
-    filt = lookup.build_orthography_filter(small_table, mapping,
-                                           alphabet(small_table))
+    mapping = {small_table.id_of("ẹ"): [small_table.id_of("e")]}
+    filt = fst.relabel(identity(small_table), mapping, "output")
     assert apply_filter(filt, small_table, "kẹ") == {"ke"}
     assert apply_filter(filt, small_table, "ka") == {"ka"}  # identity
 
 
 def test_orthography_filter_idempotent(small_table):
-    mapping = [(small_table.id_of("ẹ"), small_table.id_of("e"))]
-    filt = lookup.build_orthography_filter(small_table, mapping,
-                                           alphabet(small_table))
-    twice = fst.compose(filt, filt)
+    mapping = {small_table.id_of("ẹ"): [small_table.id_of("e")]}
+    filt = fst.relabel(identity(small_table), mapping, "output")
+    twice = fst.relabel(filt, mapping, "output")
+    assert twice.arcs == filt.arcs  # no normative symbol is a key
     for text in ("kẹ", "ke", "aek"):
         assert apply_filter(twice, small_table, text) == \
             apply_filter(filt, small_table, text)
 
 
-def test_orthography_filter_rejects_bad_mappings(small_table):
-    with pytest.raises(FstMorphError):
-        lookup.build_orthography_filter(small_table, [],
-                                        alphabet(small_table))
-    e = small_table.id_of("e")
-    marked = small_table.id_of("ẹ")
-    with pytest.raises(FstMorphError):
-        # normative symbol may not itself be a pedagogical key
-        lookup.build_orthography_filter(
-            small_table, [(marked, e), (e, small_table.id_of("a"))],
-            alphabet(small_table))
-    with pytest.raises(FstMorphError):
-        lookup.build_relax(small_table, [(e, [EPSILON_ID]), (e, [e])],
-                           alphabet(small_table))
+def test_orthography_filter_rejects_bad_mappings():
+    """The maps are checked where they are read: an empty orthography in
+    normative mode, and a normative symbol that is also a key."""
+    lexicon, rules = ["LEXICON Root\nae # ;\n"], "Alphabet\n a e k ;\n"
+    with pytest.raises(FstMorphError, match="requires an orthography"):
+        lookup.load_pipeline(lexicon, rules, mode="normative",
+                             orthography_text="# no rows\n")
+    with pytest.raises(FstMorphError, match="also a pedagogical key"):
+        lookup.load_pipeline(lexicon, rules, orthography_text="a\te\ne\tk\n")
+    with pytest.raises(ValueError, match="side"):
+        fst.relabel(fst.sigma_star(SymbolTable(), []), {}, "both")
 
 
 def test_relax_reads_variants(small_table):
-    k, e = small_table.id_of("k"), small_table.id_of("e")
-    relax = lookup.build_relax(small_table, [(k, [EPSILON_ID])],
-                               alphabet(small_table))
+    k = small_table.id_of("k")
+    relax = fst.relabel(identity(small_table), {k: [EPSILON_ID]}, "output",
+                        keep=True)
     # strict k may also be absent on the relaxed side
     assert apply_filter(relax, small_table, "ke") == {"ke", "e"}
     assert apply_filter(relax, small_table, "ae") == {"ae"}
+    # on the input side the variant is read in the key's place
+    e = small_table.id_of("e")
+    reads_e = fst.relabel(identity(small_table), {k: [e]}, "input")
+    assert apply_filter(reads_e, small_table, "ea") == {"ea", "ka"}
+    assert apply_filter(reads_e, small_table, "ka") == set()
 
 
 def test_mapping_file_round_trip():

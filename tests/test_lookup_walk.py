@@ -7,15 +7,22 @@ cuts the result, each keeps the pairs its own search order found first,
 so under a cut only the truncated flag is compared.
 """
 
+import pathlib
 import random
+import sys
 from functools import partial
 
 import pytest
 
-from fstmorph import att, cli, fst, lookup
+from fstmorph import cli, fst, lookup
 from fstmorph.symbols import EPSILON_ID, SymbolTable
 
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, composed_relabel
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent
+                       / "bench"))
+
+import inputs  # noqa: E402
 
 BIG = 10**6
 
@@ -28,8 +35,8 @@ def compose_lookup(machine, ids, max_count):
 
 def relaxed_compose_lookup(pipeline, ids, max_count):
     acceptor = fst.string_pair(pipeline.table, ids, ids)
-    chain = fst.compose(fst.compose(acceptor, fst.invert(pipeline.relax)),
-                        pipeline.analyzer)
+    chain = fst.compose(acceptor, composed_relabel(
+        pipeline.analyzer, pipeline.relax, "input", keep=True))
     return fst.enumerate_paths(chain, len(ids), max_count)
 
 
@@ -49,11 +56,11 @@ def input_strings(machine):
     return sorted({ins for ins, _ in paths.pairs})
 
 
-def misspellings(pipeline, spec):
+def misspellings(pipeline):
     """Every string made by one relax substitution in one surface."""
     out = set()
     for ids in input_strings(pipeline.analyzer):
-        for key, variants in spec:
+        for key, variants in pipeline.relax.items():
             for k, sid in enumerate(ids):
                 if sid != key:
                     continue
@@ -61,11 +68,6 @@ def misspellings(pipeline, spec):
                     middle = () if v == EPSILON_ID else (v,)
                     out.add(ids[:k] + middle + ids[k + 1:])
     return sorted(out)
-
-
-@pytest.fixture(scope="module")
-def relax_spec(fixture_sources, pipeline):
-    return lookup.parse_mapping_file(fixture_sources["relax"], pipeline.table)
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +143,8 @@ def test_walk_matches_oracle_on_every_path(request, which):
                          partial(compose_lookup, machine), ids, which)
 
 
-def test_walk_matches_oracle_on_misspellings(pipeline, relax_spec):
-    words = misspellings(pipeline, relax_spec)
+def test_walk_matches_oracle_on_misspellings(pipeline):
+    words = misspellings(pipeline)
     assert len(words) > 10
     walk = partial(fst.lookup_paths, pipeline.relaxed_analyzer())
     for ids in words:
@@ -187,30 +189,47 @@ def test_relaxed_analyzer_is_built_once_on_first_need(fixture_sources):
 # artifact-loaded vs in-memory
 
 
-@pytest.fixture(scope="module")
-def loaded_pipeline(tmp_path_factory):
-    out = tmp_path_factory.mktemp("artifacts")
-    args = [str(FIXTURE_DIR / "roots.lexc"), str(FIXTURE_DIR / "affixes.lexc"),
-            "--rules", str(FIXTURE_DIR / "phonology.twol"),
-            "--orthography", str(FIXTURE_DIR / "orthography.tsv"),
-            "--relax", str(FIXTURE_DIR / "relax.tsv")]
+def both_pipelines(files, mode, out):
+    """The in-memory pipeline of the sources in files, and the one
+    loaded from what compile writes of them into out."""
+    def read(name):
+        return files[name].read_text(encoding="utf-8")
+
+    mem = lookup.load_pipeline(
+        [read("roots.lexc"), read("affixes.lexc")], read("phonology.twol"),
+        mode=mode, orthography_text=read("orthography.tsv"),
+        relax_text=read("relax.tsv"))
+    args = [str(files["roots.lexc"]), str(files["affixes.lexc"]),
+            "--rules", str(files["phonology.twol"]), "--mode", mode,
+            "--orthography", str(files["orthography.tsv"]),
+            "--relax", str(files["relax.tsv"])]
     assert cli.main(["compile", *args, "--out", str(out)]) == 0
-    return cli._load_artifacts(out)
+    return mem, cli._load_artifacts(out)
 
 
-def test_artifacts_answer_like_the_in_memory_pipeline(
-        pipeline, loaded_pipeline, relax_spec):
-    mem, disk = pipeline, loaded_pipeline
-    assert att.export_att(disk.relax, disk.table) == \
-        att.export_att(mem.relax, mem.table)
-    for ids in input_strings(mem.generator):
-        analysis = mem.table.render(ids)
-        assert lookup.generate(disk, analysis) == \
-            lookup.generate(mem, analysis)
-    surfaces = input_strings(mem.analyzer) + misspellings(mem, relax_spec)
-    for ids in surfaces:
-        surface = mem.table.render(ids)
-        assert lookup.analyze(disk, surface) == \
-            lookup.analyze(mem, surface), surface
-    assert any(a.relaxed for a in lookup.analyze(disk, "viirdi"))
-
+def test_artifacts_answer_like_the_in_memory_pipeline(tmp_path, capsys):
+    """In both modes, on the fixture and on the benchmark's seed-1
+    synthetic grammar: every analysis, surface and one-substitution
+    misspelling looks up the same in memory and from the artifacts."""
+    fixture = {name: FIXTURE_DIR / name for name in inputs.SOURCE_FILES}
+    synthetic = inputs.write_synth_grammar(1, tmp_path / "synth").files
+    for grammar, files in [("fixture", fixture), ("synth", synthetic)]:
+        for mode in lookup.MODES:
+            mem, disk = both_pipelines(files, mode,
+                                       tmp_path / f"{grammar}-{mode}")
+            capsys.readouterr()
+            assert disk.relax == mem.relax
+            for ids in input_strings(mem.generator):
+                analysis = mem.table.render(ids)
+                assert lookup.generate(disk, analysis) == \
+                    lookup.generate(mem, analysis), (grammar, mode)
+            surfaces = (input_strings(mem.analyzer)
+                        + misspellings(mem))
+            relaxed = 0
+            for ids in surfaces:
+                surface = mem.table.render(ids)
+                readings = lookup.analyze(disk, surface)
+                assert readings == lookup.analyze(mem, surface), \
+                    (grammar, mode, surface)
+                relaxed += any(a.relaxed for a in readings)
+            assert relaxed > 10, (grammar, mode)

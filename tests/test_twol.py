@@ -3,7 +3,7 @@ import warnings
 
 import pytest
 
-from fstmorph import fst, lexc, lookup, twol
+from fstmorph import fst, lexc, twol
 from fstmorph.errors import ParseError
 from fstmorph.symbols import EPSILON_ID, SymbolTable
 
@@ -262,7 +262,7 @@ def test_combine_is_the_left_fold_on_the_fixture(fixture_parsed,
     monkeypatch.setattr(twol, "combine_rules",
                         lambda ruleset, domain:
                         domains.append(domain) or domain)
-    lookup._restricted_rules(lexc.compile_lexicon(ast), rs)
+    twol.apply_rules(lexc.compile_lexicon(ast), rs)
     monkeypatch.undo()
     assert_combine_is_the_left_fold(rs, [None, domains[0]])
 
