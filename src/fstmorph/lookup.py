@@ -43,7 +43,7 @@ class Pipeline:
     table: SymbolTable
     generator: fst.Transducer
     analyzer: fst.Transducer
-    relax: dict = None  # {strict symbol id: [variant ids]}
+    relax: dict = field(default_factory=dict)  # {strict id: [variant ids]}
     glosses: dict = field(default_factory=dict)  # as lexc.extract_glosses
     _relaxed_analyzer: fst.Transducer = field(default=None, init=False,
                                               repr=False, compare=False)
