@@ -41,10 +41,12 @@ def _number(field):
     return None
 
 
-def import_att(text: str, table: SymbolTable) -> Transducer:
+def import_att(text: str, table: SymbolTable,
+               filename: str = None) -> Transducer:
     """Parse AT&T text whose labels must all be in table already, and
     whose states are numbered 0..n-1 for the n distinct states it names
-    (as export writes them), with state 0 the start."""
+    (as export writes them), with state 0 the start.  Errors name
+    filename, the file the text was read from."""
     ids = {EPSILON_TEXT: EPSILON_ID}  # each label's id, once looked up
 
     def label(name, lineno):
@@ -52,7 +54,7 @@ def import_att(text: str, table: SymbolTable) -> Transducer:
         if sid is None:
             if name not in table:
                 raise ParseError(f"symbol {name!r} is not in the symbol "
-                                 f"table", line=lineno)
+                                 f"table", filename, lineno)
             sid = ids[name] = table.id_of(name)
         return sid
 
@@ -66,20 +68,22 @@ def import_att(text: str, table: SymbolTable) -> Transducer:
         if len(parts) == 1:
             final = _number(parts[0])
             if final is None:
-                raise ParseError(f"bad final-state line {line!r}", line=lineno)
+                raise ParseError(f"bad final-state line {line!r}", filename,
+                                 lineno)
             finals.add(final)
             first_line.setdefault(final, lineno)
         elif len(parts) == 4:
             src, dst = _number(parts[0]), _number(parts[1])
             if src is None or dst is None:
-                raise ParseError(f"bad state number in {line!r}", line=lineno)
+                raise ParseError(f"bad state number in {line!r}", filename,
+                                 lineno)
             arcs.append((src, label(parts[2], lineno),
                          label(parts[3], lineno), dst))
             first_line.setdefault(src, lineno)
             first_line.setdefault(dst, lineno)
         else:
             raise ParseError(f"expected 1 or 4 tab-separated fields: {line!r}",
-                             line=lineno)
+                             filename, lineno)
     if not first_line:
         return Transducer(table, 1, 0, frozenset(), ())
     num = len(first_line)
@@ -87,7 +91,7 @@ def import_att(text: str, table: SymbolTable) -> Transducer:
         if not 0 <= state < num:
             raise ParseError(f"state {state} is outside 0..{num - 1}, the "
                              f"{num} distinct states the file names",
-                             line=lineno)
+                             filename, lineno)
     return Transducer(table, num, 0, finals, arcs)
 
 
@@ -104,7 +108,7 @@ def export_symbols(table: SymbolTable) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _pair_side(table, text, lineno):
+def _pair_side(table, text, filename, lineno):
     """The id of one side of a pair symbol's text, as pair_symbol spells
     it: "0" for epsilon, "%" before a "%", ":" or "0" symbol."""
     if text == "0":
@@ -113,35 +117,36 @@ def _pair_side(table, text, lineno):
         text = text[1:]
     if text not in table:
         raise ParseError(f"pair side {text!r} is not an earlier symbol",
-                         line=lineno)
+                         filename, lineno)
     return table.id_of(text)
 
 
-def import_symbols(text: str) -> SymbolTable:
+def import_symbols(text: str, filename: str = None) -> SymbolTable:
+    """The table of an export_symbols text; errors name filename, the
+    file the text was read from."""
     table = SymbolTable()
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         parts = line.split("\t")
         if len(parts) != 3:
-            raise ParseError(f"bad symbol line {line!r}", line=lineno)
+            raise ParseError(f"bad symbol line {line!r}", filename, lineno)
         sid, sym_text, flag = _number(parts[0]), parts[1], parts[2]
         if sid is None:
-            raise ParseError(f"bad symbol id {parts[0]!r}", line=lineno)
+            raise ParseError(f"bad symbol id {parts[0]!r}", filename, lineno)
         if flag == "p":
             i = find_unescaped(sym_text, ":".__eq__)
-            sym = table.pair_symbol(_pair_side(table, sym_text[:i], lineno),
-                                    _pair_side(table, sym_text[i + 1:],
-                                               lineno))
+            sym = table.pair_symbol(
+                _pair_side(table, sym_text[:i], filename, lineno),
+                _pair_side(table, sym_text[i + 1:], filename, lineno))
         elif flag == "m":
             sym = table.declare_multichar(sym_text)
         elif flag == "-":
             sym = table.intern(sym_text)
         else:
             raise ParseError(f"bad multichar flag {flag!r}, expected 'p', "
-                             f"'m' or '-'", line=lineno)
+                             f"'m' or '-'", filename, lineno)
         if sym.id != sid:
-            raise ParseError(
-                f"symbol file ids are not dense at line {lineno}", line=lineno
-            )
+            raise ParseError("symbol file ids are not dense", filename,
+                             lineno)
     return table

@@ -119,17 +119,24 @@ def _load_artifacts(artifact_dir):
     """The pipeline of an artifact directory; its analyzer is derived, or
     read from analyzer.att in a directory from before format 2."""
     base = pathlib.Path(artifact_dir)
-    texts = _artifact_texts(base, json.loads(_read(base / MANIFEST_JSON)))
-    table = att.import_symbols(texts[SYMBOLS_TSV])
+    where = base / MANIFEST_JSON
+    try:
+        manifest = json.loads(_read(where))
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.msg, str(where), exc.lineno) from None
+    texts = _artifact_texts(base, manifest)
+    table = att.import_symbols(texts[SYMBOLS_TSV], str(base / SYMBOLS_TSV))
     table.freeze()
-    generator = att.import_att(texts[GENERATOR_ATT], table)
+    generator = att.import_att(texts[GENERATOR_ATT], table,
+                               str(base / GENERATOR_ATT))
 
     def read_map(name, parse):
         if name in texts:
             return parse(texts[name], table, str(base / name))
 
     orthography = read_map(ORTHOGRAPHY_TSV, lookup.parse_orthography_file)
-    analyzer = (att.import_att(texts[ANALYZER_ATT], table)
+    analyzer = (att.import_att(texts[ANALYZER_ATT], table,
+                               str(base / ANALYZER_ATT))
                 if ANALYZER_ATT in texts
                 else lookup.analyzer_of(generator, orthography))
     rows = {}
@@ -209,8 +216,8 @@ def cmd_export_att(args):
 
 
 def cmd_import_att(args):
-    table = att.import_symbols(_read(args.symbols))
-    machine = att.import_att(_read(args.att_file), table)
+    table = att.import_symbols(_read(args.symbols), args.symbols)
+    machine = att.import_att(_read(args.att_file), table, args.att_file)
     sys.stdout.write(att.export_att(machine, table))
     return 0
 

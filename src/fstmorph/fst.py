@@ -49,6 +49,17 @@ minimal DFA of the intersection; the minimal DFA is unique and _trim's
 numbering canonical, so that is the machine minimize would make of any
 DFA of the same language.
 
+Which machines are minimal: the outputs of minimize and intersect, as
+DFAs, and those of encoded_minimize, as transducers.  encoded_minimize
+reads each in:out pair as one label, minimizes that acceptor and
+decodes it (Mohri 2000), so its result is the minimal deterministic
+machine of a transducer's pair strings: minimal for the alignment of
+in and out symbols that the paths fix, which need not be the smallest
+transducer of the relation.  The lexicon (lexc.compile_lexicon) and the
+stored generator (lookup.build_pipeline) are its outputs.  determinize
+and complement give DFAs that need not be minimal; compose, relabel,
+invert, project and the rational operations minimize nothing.
+
 Every construction that explores its states lazily from a start key
 goes through _explore: determinize (subsets), intersect (DFA state
 pairs), compose (state pairs with an epsilon-filter state) and
@@ -433,14 +444,14 @@ def determinize(a: Transducer) -> Transducer:
     final_mask = sum(1 << q for q in a.finals)
 
     def expand(mask):
+        is_final = bool(mask & final_mask)
         moves = [0] * len(labels)
-        bits = bin(mask)[:1:-1]  # bit q of mask is bits[q]
-        q = bits.find("1")
-        while q >= 0:
-            for k, target in steps[q]:
+        while mask:  # one member per turn, lowest bit first
+            low = mask & -mask
+            for k, target in steps[low.bit_length() - 1]:
                 moves[k] |= target
-            q = bits.find("1", q + 1)
-        return (bool(mask & final_mask),
+            mask ^= low
+        return (is_final,
                 [(labels[k], labels[k], m) for k, m in enumerate(moves) if m])
 
     n, finals, arcs = _explore(closure(a.start), expand)
@@ -530,6 +541,24 @@ def minimize(a: Transducer) -> Transducer:
     (see _minimal)."""
     d = determinize(a)
     return _minimal(a.table, d.start, d.finals, d._transitions())
+
+
+def encoded_minimize(a: Transducer) -> Transducer:
+    """The minimal machine of a's paths read as strings of in:out pairs
+    (Mohri 2000, minimization with the pairs encoded): each pair is one
+    label, ε:ε is epsilon, and minimize runs on that acceptor before the
+    labels are decoded.  A pair (i, o) is coded i * width + o, which
+    sorts as the pair does, so the decoded arcs keep minimize's sorted
+    order and BFS numbering: the result depends only on a's set of pair
+    strings.  It is trimmed but not flagged deterministic."""
+    width = 1 + max((o for _, _, o, _ in a.arcs), default=0)
+    coded = Transducer(a.table, a.num_states, a.start, a.finals,
+                       [(s, i * width + o, i * width + o, d)
+                        for s, i, o, d in a.arcs])
+    m = minimize(coded)
+    arcs = [(s, *divmod(c, width), d) for s, c, _, d in m.arcs]
+    return Transducer._sorted(a.table, m.num_states, m.start, m.finals,
+                              arcs, False)
 
 
 def complement(a: Transducer, alphabet) -> Transducer:

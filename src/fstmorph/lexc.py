@@ -175,8 +175,12 @@ def _validate(ast, filename=None):
 
 
 def compile_lexicon(ast: LexiconAst) -> fst.Transducer:
-    """One sub-network per lexicon; every entry is an analysis:surface
-    arc chain ending in an epsilon transition into its continuation."""
+    """The lexicon's analysis:surface relation as a minimal machine.
+
+    It is built with one sub-network per lexicon, in which every entry is
+    an arc chain ending in an epsilon transition into its continuation,
+    and then minimized with its pairs encoded (fst.encoded_minimize), so
+    shared prefixes and suffixes of the entries share states."""
     table = ast.table
     state_of = {}
     counter = [0]
@@ -203,7 +207,8 @@ def compile_lexicon(ast: LexiconAst) -> fst.Transducer:
                 cur = nxt
             arcs.append((cur, fst.EPSILON_ID, fst.EPSILON_ID,
                          state_of[e.contlex]))
-    return fst._trim(table, counter[0], state_of["Root"], {final}, arcs)
+    return fst.encoded_minimize(fst.Transducer(
+        table, counter[0], state_of["Root"], {final}, arcs))
 
 
 def extract_glosses(ast: LexiconAst) -> dict:

@@ -110,6 +110,7 @@ def build_pipeline(lexicon_ast: lexc.LexiconAst, ruleset: twol.RuleSet,
                                 "mapping")
         generator = fst.relabel(generator, {k: [v] for k, v in orthography},
                                 "output")
+    generator = fst.encoded_minimize(generator)
     return Pipeline(table, generator, analyzer_of(generator, orthography),
                     dict(relax_spec or ()),
                     lexc.extract_glosses(lexicon_ast))

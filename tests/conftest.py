@@ -160,6 +160,26 @@ def random_transducer(table, sym_ids, rng, max_states=4, max_arcs=8,
     return fst._trim(table, n, 0, finals, arcs)
 
 
+def chain_lexicon(ast):
+    """The lexicon as lexc.compile_lexicon builds it before minimizing:
+    one sub-network per lexicon, each entry an analysis:surface arc
+    chain with an epsilon arc into its continuation; not trimmed."""
+    state_of = {name: k for k, name in enumerate([*ast.lexicons, lexc.END])}
+    num = len(state_of)
+    arcs = []
+    for name, entries in ast.lexicons.items():
+        for e in entries:
+            cur = state_of[name]
+            for k in range(max(len(e.analysis), len(e.surface))):
+                i = e.analysis[k] if k < len(e.analysis) else EPSILON_ID
+                o = e.surface[k] if k < len(e.surface) else EPSILON_ID
+                arcs.append((cur, i, o, num))
+                cur, num = num, num + 1
+            arcs.append((cur, EPSILON_ID, EPSILON_ID, state_of[e.contlex]))
+    return fst.Transducer(ast.table, num, state_of["Root"],
+                          {state_of[lexc.END]}, arcs)
+
+
 def mapping_transducer(table, alphabet_ids, mapping, keep_original):
     """One-state transducer: identity over alphabet_ids except that each
     key of mapping, {symbol: [variants]}, rewrites to its variants (and,

@@ -78,35 +78,35 @@ def test_compile_deterministic(artifacts, tmp_path):
 # SHA-256 of the fixture artifacts built with --orthography and --relax
 ARTIFACT_DIGESTS = {
     "generator.att":
-        "1e95cc681d4b317e0369fd807fd9bb55eba5e5372294b458380479e3200af4ab",
+        "abac9940b8bb6f6c0af63d23ba593487f8d5f82c3d3bfdeb011e9931055f435a",
 }
 
 # SHA-256 of the artifacts of the benchmark's seed-1 synthetic grammar
 # (bench/inputs.py), built with its orthography and relax map
 SYNTH_DIGESTS = {
     "generator.att":
-        "540c1cd7e0d293e057dae20e07d1b11206775aea9660172a82d4bf32772fa4ae",
+        "a4b38b76cd4964a54624527cb785939870faeb4a9eea7d64ec07b84c44083616",
 }
 
 # SHA-256 of the normative-mode generator.att of the same two builds
 NORMATIVE_DIGESTS = {
     "fixture":
-        "f729f79c1662549635fac840f827c43c9cf75613c1c653cf71cbf46502e42513",
+        "f25ee2fa84f461c858b67b4eba0ee98aa90780bfbc4b8a9395b01370da53e270",
     "synth":
-        "fa96aec4129f07a93a0eb298bb37abf717a09c73206c15641b27fe02e8e3e08b",
+        "13abf4c122a2237d5937280bfaa5f5319e91ed4a027754a1b4857414a578dbcc",
 }
 
 # SHA-256 of `fstmorph export-att DIR --which analyzer` on those builds:
 # the analyzer.att that compile wrote into DIR before format 2
 ANALYZER_DIGESTS = {
     ("fixture", "pedagogical"):
-        "eb08ae9346cfc28053f135ce580e58b67efdb61fde16d42514718d308b5f8254",
+        "541bb5de7c6abe73e76e16e6b41ee2265c82ede740e03470f9259385a4c2c179",
     ("synth", "pedagogical"):
-        "8ddc85a76c991ab7460ea8e81ff8f1e936288ae099af011b11763652ad11401f",
+        "fc09e5c8ec081ea00f07ea57c32621ae6817bf0a42222891d900156012bdb296",
     ("fixture", "normative"):
-        "f3d0a8b0322d44355d19fe41067d10eda70ea4a6be7c1012d353796ca1ed09c9",
+        "a5e6e069e8c43d9c54f8d06b3f7b53487e2bc5c00a4ac795fe2712be46964132",
     ("synth", "normative"):
-        "e035dad87ed1a7d00322089b1a17273d3ab10391e3600d58a30bed58ac09578f",
+        "3e5b14b701630f69dbd561bdf710e234518a3fe99b5f534ad651ab1770d019fc",
 }
 
 
@@ -227,6 +227,29 @@ def test_a_damaged_directory_is_refused(artifacts, tmp_path, capsys,
     for argv in (["lookup", str(broken)], ["export-att", str(broken)]):
         assert run(argv, "radio\n", monkeypatch) == 2
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("generator.att", "0\t1\tZZZ\tZZZ\n1\n",
+     "generator.att:1: symbol 'ZZZ' is not in the symbol table"),
+    ("symbols.tsv", "1\ta\t?\n",
+     "symbols.tsv:1: bad multichar flag '?'"),
+], ids=["generator.att", "symbols.tsv"])
+def test_a_bad_artifact_file_is_named(artifacts, tmp_path, capsys,
+                                      monkeypatch, name, text, message):
+    broken = copy_dir(artifacts, tmp_path / "broken")
+    rewrite_artifact(broken, name, text)
+    assert run(["lookup", str(broken)], "radio\n", monkeypatch) == 2
+    assert f"error: {broken / message}" in capsys.readouterr().err
+
+
+def test_a_malformed_manifest_is_named(artifacts, tmp_path, capsys,
+                                       monkeypatch):
+    broken = copy_dir(artifacts, tmp_path / "broken")
+    (broken / "manifest.json").write_text("{\n")
+    assert run(["lookup", str(broken)], "radio\n", monkeypatch) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {broken / 'manifest.json'}:2: ")
 
 
 def test_a_second_orthography_row_for_one_symbol_fails_compile(tmp_path,

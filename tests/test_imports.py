@@ -30,9 +30,9 @@ def test_every_imported_name_is_read():
     assert [u for path in modules for u in unused_imports(path)] == []
 
 
-# The one private name read across modules: canonical AT&T export and
-# the lexicon compiler number their machines with fst's trim.
-PRIVATE_READS_ALLOWED = {("att.py", "fst._trim"), ("lexc.py", "fst._trim")}
+# The one private name read across modules: canonical AT&T export
+# numbers its machines with fst's trim.
+PRIVATE_READS_ALLOWED = {("att.py", "fst._trim")}
 
 
 def private_reads(path):

@@ -7,16 +7,26 @@ of the strings that twol.check_rule accepts for every rule.  The
 generator that lookup.build_pipeline assembles (lexicon, rule domain,
 rule combination, pairs_to_transducer, composition) must give exactly
 those surfaces for the word's analysis, up to SLACK symbols longer than
-the word.
+the word.  On the shipped grammars, the generator that build_pipeline
+minimizes must keep the relation of the build that minimizes nothing.
 """
 
+import pathlib
 import random
+import sys
+
+import pytest
 
 from fstmorph import fst, lexc, lookup, twol
 from fstmorph.errors import PipelineError
-from fstmorph.symbols import EPSILON_ID
+from fstmorph.symbols import EPSILON_ID, SymbolTable
 
-from conftest import random_ruleset
+from conftest import chain_lexicon, random_ruleset, read_fixture
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent
+                       / "bench"))
+
+import inputs  # noqa: E402
 
 SLACK = 2
 CASES = 300
@@ -95,3 +105,44 @@ def test_generator_matches_brute_force_two_level_generation():
             assert got == surfaces, (ruleset, e.analysis)
             generated_any += bool(got)
     assert generated_any > CASES  # most words have some surface
+
+
+def differential_grammars(tmp_path):
+    """(name, lexc texts, max input length) of the fixture, the seed-1
+    synthetic grammar and the fixture with compounding (+Cmp back to
+    Root), whose generator is cyclic."""
+    roots, affixes = read_fixture("roots.lexc"), read_fixture("affixes.lexc")
+    synth = inputs.write_synth_grammar(1, tmp_path / "synth").files
+    compounding = affixes.replace("LEXICON N_RADIO\n",
+                                  "LEXICON N_RADIO\n+Cmp: Root ;\n")
+    assert compounding != affixes
+    return [("fixture", [roots, affixes], 60),
+            ("synth", [synth["roots.lexc"].read_text(encoding="utf-8"),
+                       affixes], 60),
+            ("compounding", [roots, compounding], 24)]
+
+
+@pytest.mark.parametrize("mode", lookup.MODES)
+def test_generator_keeps_the_relation_of_the_unminimized_build(tmp_path,
+                                                                mode):
+    """The generator that build_pipeline stores, minimized twice over,
+    has the relation of the lexicon's arc chains composed with the rules
+    and relabelled, with nothing minimized."""
+    for name, texts, max_len in differential_grammars(tmp_path):
+        table = SymbolTable()
+        ast = lexc.parse_lexc([(None, t) for t in texts], table)
+        ruleset = twol.parse_twol(read_fixture("phonology.twol"), table)
+        orthography = lookup.parse_orthography_file(
+            read_fixture("orthography.tsv"), table)
+        want = twol.apply_rules(chain_lexicon(ast), ruleset)
+        if mode == "normative":
+            want = fst.relabel(want, {k: [v] for k, v in orthography},
+                               "output")
+        got = lookup.build_pipeline(ast, ruleset, mode, orthography).generator
+        assert got.num_states < want.num_states, name
+        want_paths = fst.enumerate_paths(want, max_len, 10**6)
+        got_paths = fst.enumerate_paths(got, max_len, 10**6)
+        assert got_paths.pairs == want_paths.pairs, name
+        assert got_paths.truncated == want_paths.truncated \
+            == (name == "compounding"), name
+        assert len(got_paths.pairs) > 10, name
