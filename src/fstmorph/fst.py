@@ -50,12 +50,15 @@ numbering canonical, so that is the machine minimize would make of any
 DFA of the same language.
 
 Which machines are minimal: the outputs of minimize and intersect, as
-DFAs, and those of encoded_minimize, as transducers.  encoded_minimize
-reads each in:out pair as one label, minimizes that acceptor and
-decodes it (Mohri 2000), so its result is the minimal deterministic
-machine of a transducer's pair strings: minimal for the alignment of
-in and out symbols that the paths fix, which need not be the smallest
-transducer of the relation.  The lexicon (lexc.compile_lexicon) and the
+DFAs, those of expand_labels of a minimal DFA, and those of
+encoded_minimize, as transducers.  expand_labels puts each arc on a
+label once per symbol of the label's class; twol.compile_rule builds
+each rule over its own classes of pairs and expands it so.
+encoded_minimize reads each in:out pair as one label, minimizes that
+acceptor and decodes it (Mohri 2000), so its result is the minimal
+deterministic machine of a transducer's pair strings: minimal for the
+alignment of in and out symbols that the paths fix, which need not be
+the smallest transducer of the relation.  The lexicon (lexc.compile_lexicon) and the
 stored generator (lookup.build_pipeline) are its outputs.  determinize
 and complement give DFAs that need not be minimal; compose, relabel,
 invert, project and the rational operations minimize nothing.
@@ -166,7 +169,9 @@ class Transducer:
 
 @dataclass
 class PathSet:
-    """Deduplicated (input, output) symbol-id sequences, shortlex order."""
+    """Deduplicated (input, output) symbol-id sequences, sorted shortlex.
+    When a max_count cut sets truncated, the pairs are the ones the
+    search met first, which need not be the shortlex-first ones."""
 
     pairs: list
     truncated: bool = False
@@ -358,6 +363,17 @@ def project(a: Transducer, side: str) -> Transducer:
         lab = i if side == "input" else o
         arcs.append((s, lab, lab, d))
     return _trim(a.table, a.num_states, a.start, a.finals, arcs)
+
+
+def expand_labels(a: Transducer, members) -> Transducer:
+    """The acceptor a with each arc on label c put once per symbol of
+    members[c] in its place, trimmed and numbered canonically.  With
+    disjoint member lists a DFA stays a DFA, flagged as a is, and a
+    minimal one stays minimal: states that a label tells apart, any of
+    its symbols tells apart."""
+    arcs = [(s, m, m, d) for s, c, _, d in a.arcs for m in members[c]]
+    return _trim(a.table, a.num_states, a.start, a.finals, arcs,
+                 a.deterministic)
 
 
 # ---------------------------------------------------------------------------
@@ -608,8 +624,13 @@ def difference(a: Transducer, b: Transducer, alphabet) -> Transducer:
 
 
 def enumerate_paths(a: Transducer, max_input_len: int, max_count: int) -> PathSet:
-    """All (input, output) pairs with input length <= max_input_len,
-    deterministic shortlex order; cyclic machines are truncated."""
+    """The (input, output) pairs with input length <= max_input_len,
+    found by a depth-first search from the start state that takes each
+    state's arcs in arc order, and returned sorted shortlex.  A cyclic
+    machine is cut at the length bound or where an epsilon-input run
+    repeats an arc, and sets truncated.  Once max_count pairs are found,
+    the next new pair stops the search: the pairs kept are then the
+    max_count that the search met first, not the shortlex-first ones."""
     if max_input_len < 0 or max_count <= 0:
         raise ValueError("enumeration bounds must be positive")
     found = set()

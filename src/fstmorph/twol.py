@@ -22,6 +22,19 @@ marker arcs become epsilon arcs).  The marker is never interned: the
 table is written out as symbols.tsv, which must not depend on how the
 rules compile.
 
+Each rule compiles over its own classes of feasible pairs, as foma
+does with its "other" symbol (Hulden 2009): two pairs share a class
+when each context atom, the center and the `<=` wrong set hold for
+both or for neither.  A fixture rule has 3 to 7 classes of its 48
+pairs.  The construction runs over one label per class, and the
+minimal DFA it ends in has each class arc expanded to one arc per
+member pair (fst.expand_labels).  That is the minimal DFA over the
+pairs, numbered canonically: the classes refine every pair set the
+construction reads, so the pair language is the class language with
+each label read as any of its pairs, and a state pair told apart by a
+class is told apart by each of its pairs.  Class labels, like the
+marker, never leave compile_rule.
+
 combine_rules intersects the compiled rules into one acceptor by one
 fold.  Every intersect returns a canonical minimal DFA, so only the
 order of the fold is chosen, for speed: domain-led when a lexicon
@@ -414,11 +427,15 @@ def _side_matches(spec, sid):
         isinstance(spec, frozenset) and sid in spec)
 
 
+def _matches(atom, pair):
+    return _side_matches(atom.left, pair[0]) and \
+        _side_matches(atom.right, pair[1])
+
+
 def _match_ends(node, seq, start):
     """End positions reachable by matching node on seq from start."""
     if isinstance(node, Atom):
-        if start < len(seq) and _side_matches(node.left, seq[start][0]) \
-                and _side_matches(node.right, seq[start][1]):
+        if start < len(seq) and _matches(node, seq[start]):
             return {start + 1}
         return set()
     if isinstance(node, Seq):
@@ -489,28 +506,53 @@ def check_rule(rule: TwolRule, s, ruleset: RuleSet) -> bool:
 # compilation
 
 
-def _regex_to_fst(node, ruleset):
-    table, alphabet = ruleset.table, ruleset.alphabet
+def _atoms(node):
+    """The Atoms of a context regex."""
     if isinstance(node, Atom):
-        pids = [alphabet.pair_id(l, s) for l, s in alphabet.pairs
-                if _side_matches(node.left, l)
-                and _side_matches(node.right, s)]
-        if not pids:
+        return {node}
+    if isinstance(node, Star):
+        return _atoms(node.item)
+    if isinstance(node, (Seq, Alt)):
+        return set().union(*map(_atoms, node.items))
+    raise TypeError(f"bad regex node {node!r}")
+
+
+def _pair_classes(rule, ruleset):
+    """The rule's classes of feasible pairs, {first pair: [pair ids]} in
+    declaration order.  Two pairs share a class when each context Atom
+    matches both or neither, and so do the center and the `<=` wrong
+    set (the center's lexical side with another surface side)."""
+    a, b = rule.center
+    atoms = set().union(*(_atoms(side) for ctx in rule.contexts
+                          for side in ctx))
+    classes = {}  # membership signature: (first pair, pair ids)
+    for l, s in ruleset.alphabet.pairs:
+        key = ((l, s) == (a, b), l == a and s != b,
+               *(_matches(x, (l, s)) for x in atoms))
+        classes.setdefault(key, ((l, s), []))[1].append(
+            ruleset.alphabet.pair_id(l, s))
+    return dict(classes.values())
+
+
+def _regex_to_fst(node, table, labels):
+    """The regex as an acceptor over class labels, labels being
+    {first pair of a class: its label}."""
+    if isinstance(node, Atom):
+        ids = [c for pair, c in labels.items() if _matches(node, pair)]
+        if not ids:
             return fst.empty(table)
-        return fst.symbol_set_acceptor(table, pids)
+        return fst.symbol_set_acceptor(table, ids)
     if isinstance(node, Seq):
         acc = fst.epsilon_machine(table)
         for item in node.items:
-            acc = fst.concat(acc, _regex_to_fst(item, ruleset))
+            acc = fst.concat(acc, _regex_to_fst(item, table, labels))
         return acc
     if isinstance(node, Alt):
         acc = fst.empty(table)
         for item in node.items:
-            acc = fst.union(acc, _regex_to_fst(item, ruleset))
+            acc = fst.union(acc, _regex_to_fst(item, table, labels))
         return acc
-    if isinstance(node, Star):
-        return fst.star(_regex_to_fst(node.item, ruleset))
-    raise TypeError(f"bad regex node {node!r}")
+    return fst.star(_regex_to_fst(node.item, table, labels))
 
 
 def compile_rule(rule: TwolRule, ruleset: RuleSet) -> fst.Transducer:
@@ -519,20 +561,26 @@ def compile_rule(rule: TwolRule, ruleset: RuleSet) -> fst.Transducer:
     It is the complement of the violations: for `<=`, in_context(the
     center's lexical side with another surface side); for `/<=`,
     in_context(center); for `=>`, the unlicensed centers
-    Σ*·M c M·Σ* − in_context(M c M) over the pairs and M = MARKER, with
-    M then unmarked; for `<=>`, the union of `<=`'s and `=>`'s.
+    Σ*·M c M·Σ* − in_context(M c M) with M = MARKER, M then unmarked;
+    for `<=>`, the union of `<=`'s and `=>`'s.
+
+    Σ is the rule's classes of pairs (_pair_classes), labelled 1..k.
+    The construction ends in the minimal DFA over them, and expanding
+    each class arc to its member pairs gives the minimal DFA over the
+    pairs (see the module docstring).
     """
     if rule.op not in OPERATORS:
         raise ValueError(f"bad operator {rule.op!r}")
     table = ruleset.table
-    alphabet = ruleset.alphabet
-    pids = alphabet.pair_ids()
     a, b = rule.center
-    if rule.op != "<=" and (a, b) not in alphabet:
+    if rule.op != "<=" and (a, b) not in ruleset.alphabet:
         raise FstMorphError(f"rule {rule.name!r}: center pair is not feasible")
-    pi_star = fst.sigma_star(table, pids)
-    sides = [(fst.concat(pi_star, _regex_to_fst(left, ruleset)),
-              fst.concat(_regex_to_fst(right, ruleset), pi_star))
+    classes = _pair_classes(rule, ruleset)
+    labels = {pair: c for c, pair in enumerate(classes, 1)}
+    sigma = list(labels.values())
+    pi_star = fst.sigma_star(table, sigma)
+    sides = [(fst.concat(pi_star, _regex_to_fst(left, table, labels)),
+              fst.concat(_regex_to_fst(right, table, labels), pi_star))
              for left, right in rule.contexts]
 
     def in_context(center_fst):
@@ -543,25 +591,23 @@ def compile_rule(rule: TwolRule, ruleset: RuleSet) -> fst.Transducer:
 
     viol = fst.empty(table)
     if rule.op in ("=>", "<=>"):
-        marked = fst.string_acceptor(
-            table, [MARKER, alphabet.pair_id(a, b), MARKER])
+        marked = fst.string_acceptor(table, [MARKER, labels[a, b], MARKER])
         unlicensed = fst.difference(
             fst.concat(fst.concat(pi_star, marked), pi_star),
-            in_context(marked), pids + [MARKER])
+            in_context(marked), sigma + [MARKER])
         viol = fst.Transducer(table, unlicensed.num_states, unlicensed.start,
                               unlicensed.finals,
                               [(src, EPSILON_ID, EPSILON_ID, dst)
                                if i == MARKER else (src, i, o, dst)
                                for src, i, o, dst in unlicensed.arcs])
     if rule.op in ("<=", "<=>"):
-        wrong = [alphabet.pair_id(l, s) for l, s in alphabet.pairs
-                 if l == a and s != b]
+        wrong = [c for (l, s), c in labels.items() if l == a and s != b]
         viol = fst.union(
             viol, in_context(fst.symbol_set_acceptor(table, wrong)))
     if rule.op == "/<=":
-        viol = in_context(
-            fst.symbol_set_acceptor(table, [alphabet.pair_id(a, b)]))
-    return fst.minimize(fst.complement(viol, pids))
+        viol = in_context(fst.symbol_set_acceptor(table, [labels[a, b]]))
+    return fst.expand_labels(fst.minimize(fst.complement(viol, sigma)),
+                             dict(zip(sigma, classes.values())))
 
 
 def combine_rules(ruleset: RuleSet, strategy: str = "direct",

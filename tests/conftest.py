@@ -211,9 +211,17 @@ def composed_relabel(machine, mapping, side, keep=False):
     return fst.compose(machine, mapper)
 
 
-def random_ruleset(rng, num_rules=1, num_letters=3, num_contexts=(1, 2)):
+def random_ruleset(rng, num_rules=1, num_letters=3, num_contexts=(1, 2),
+                   set_sides=False, dead_atoms=False, infeasible_center=False):
     """A small random rule set built directly as an AST; each rule has
-    between num_contexts[0] and num_contexts[1] contexts."""
+    between num_contexts[0] and num_contexts[1] contexts.
+
+    The keyword options widen the draw; left off, they draw nothing, so
+    a seed gives the same rule set as without them.  set_sides makes
+    some atom sides a frozenset of letters, as a parsed set name does;
+    dead_atoms puts in atoms that match no feasible pair; and
+    infeasible_center makes the first rule a `<=` rule whose center is
+    not a feasible pair, which the parser allows."""
     table = SymbolTable()
     letters = [table.intern(c).id for c in "abcd"[:num_letters]]
     pairs = [(l, l) for l in letters]
@@ -229,17 +237,29 @@ def random_ruleset(rng, num_rules=1, num_letters=3, num_contexts=(1, 2)):
         if p[0] != p[1] and p not in pairs:
             pairs.append(p)
     alphabet = twol.FeasiblePairs(table, pairs)
+    sides = letters + [EPSILON_ID]
+    infeasible = [(l, s) for l in sides for s in sides
+                  if (l, s) not in pairs]
+
+    def widen(side):
+        """side, or under set_sides at times a set of letters holding it"""
+        if not set_sides or side in (None, EPSILON_ID) or rng.random() < 0.5:
+            return side
+        return frozenset(rng.sample(letters, rng.randint(1, num_letters))
+                         + [side])
 
     def random_atom():
+        if dead_atoms and rng.random() < 0.15:
+            return twol.Atom(*rng.choice(infeasible))
         r = rng.random()
         if r < 0.3:
             return twol.Atom(None, None)  # wildcard
         pair = rng.choice(pairs)
         if r < 0.5:
-            return twol.Atom(pair[0], None)
+            return twol.Atom(widen(pair[0]), None)
         if r < 0.7:
-            return twol.Atom(None, pair[1])
-        return twol.Atom(pair[0], pair[1])
+            return twol.Atom(None, widen(pair[1]))
+        return twol.Atom(widen(pair[0]), widen(pair[1]))
 
     def random_regex(depth=0):
         atoms = []
@@ -263,6 +283,9 @@ def random_ruleset(rng, num_rules=1, num_letters=3, num_contexts=(1, 2)):
         contexts = [(random_regex(), random_regex())
                     for _ in range(rng.randint(*num_contexts))]
         rules.append(twol.TwolRule(f"r{k}", center, op, contexts))
+    if infeasible_center:
+        rules[0] = twol.TwolRule("r0", rng.choice(infeasible), "<=",
+                                 rules[0].contexts)
     return twol.RuleSet(alphabet, {}, rules)
 
 
@@ -348,6 +371,70 @@ def reversed_combine(ruleset):
     for m in machines[1:]:
         acc = fst.intersect(acc, m)
     return fst.determinize(reverse(acc))
+
+
+def reference_regex(node, ruleset):
+    """A context regex as an acceptor over the feasible pair ids."""
+    table, alphabet = ruleset.table, ruleset.alphabet
+    if isinstance(node, twol.Atom):
+        pids = [alphabet.pair_id(*pair) for pair in alphabet.pairs
+                if twol._matches(node, pair)]
+        if not pids:
+            return fst.empty(table)
+        return fst.symbol_set_acceptor(table, pids)
+    if isinstance(node, twol.Seq):
+        acc = fst.epsilon_machine(table)
+        for item in node.items:
+            acc = fst.concat(acc, reference_regex(item, ruleset))
+        return acc
+    if isinstance(node, twol.Alt):
+        acc = fst.empty(table)
+        for item in node.items:
+            acc = fst.union(acc, reference_regex(item, ruleset))
+        return acc
+    return fst.star(reference_regex(node.item, ruleset))
+
+
+def reference_compile_rule(rule, ruleset):
+    """The rule compiled over the whole pair alphabet, a reference for
+    twol.compile_rule, which compiles over the rule's own classes of
+    pairs: the same construction, so it must give the same machine, arc
+    for arc."""
+    table, alphabet = ruleset.table, ruleset.alphabet
+    pids = alphabet.pair_ids()
+    a, b = rule.center
+    pi_star = fst.sigma_star(table, pids)
+    sides = [(fst.concat(pi_star, reference_regex(left, ruleset)),
+              fst.concat(reference_regex(right, ruleset), pi_star))
+             for left, right in rule.contexts]
+
+    def in_context(center_fst):
+        acc = fst.empty(table)
+        for pre, suf in sides:
+            acc = fst.union(acc, fst.concat(fst.concat(pre, center_fst), suf))
+        return acc
+
+    viol = fst.empty(table)
+    if rule.op in ("=>", "<=>"):
+        marked = fst.string_acceptor(
+            table, [twol.MARKER, alphabet.pair_id(a, b), twol.MARKER])
+        unlicensed = fst.difference(
+            fst.concat(fst.concat(pi_star, marked), pi_star),
+            in_context(marked), pids + [twol.MARKER])
+        viol = fst.Transducer(table, unlicensed.num_states, unlicensed.start,
+                              unlicensed.finals,
+                              [(src, EPSILON_ID, EPSILON_ID, dst)
+                               if i == twol.MARKER else (src, i, o, dst)
+                               for src, i, o, dst in unlicensed.arcs])
+    if rule.op in ("<=", "<=>"):
+        wrong = [alphabet.pair_id(l, s) for l, s in alphabet.pairs
+                 if l == a and s != b]
+        viol = fst.union(
+            viol, in_context(fst.symbol_set_acceptor(table, wrong)))
+    if rule.op == "/<=":
+        viol = in_context(
+            fst.symbol_set_acceptor(table, [alphabet.pair_id(a, b)]))
+    return fst.minimize(fst.complement(viol, pids))
 
 
 def same_machine(a, b):

@@ -381,6 +381,28 @@ def test_encoded_minimize_of_an_acceptor_is_minimize(table):
         assert not m.deterministic  # not flagged: it may be a transducer
 
 
+def test_expand_labels_keeps_a_dfa_minimal(table):
+    """A minimal DFA over labels that no symbol uses, each label expanded
+    to its own symbols, is the minimal DFA of the expanded acceptor, arc
+    for arc and flagged."""
+    sym_ids = ids(table, "abcd")
+    labels = [-1, -2, -3]
+    rng = random.Random(1703)
+    for _ in range(200):
+        symbols = rng.sample(sym_ids, len(sym_ids))
+        cuts = sorted(rng.sample(range(1, len(symbols)), len(labels) - 1))
+        members = {lab: symbols[lo:hi] for lab, lo, hi
+                   in zip(labels, [0, *cuts], [*cuts, len(symbols)])}
+        m = fst.minimize(random_acceptor(table, labels, rng, max_states=6,
+                                         max_arcs=14))
+        expanded = fst.Transducer(table, m.num_states, m.start, m.finals,
+                                  [(s, x, x, d) for s, c, _, d in m.arcs
+                                   for x in members[c]])
+        got = fst.expand_labels(m, members)
+        assert same_machine(got, fst.minimize(expanded))
+        assert got.deterministic
+
+
 def test_invert_and_reverse_are_involutions(table):
     sym_ids = ids(table, "ab")
     rng = random.Random(17)

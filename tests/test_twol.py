@@ -8,7 +8,8 @@ from fstmorph.errors import ParseError
 from fstmorph.symbols import EPSILON_ID, SymbolTable
 
 from conftest import (accepts, equivalent_acceptors, random_acceptor,
-                      random_pair_string, random_ruleset, same_machine)
+                      random_pair_string, random_ruleset,
+                      reference_compile_rule, same_machine)
 
 SOURCE = """
 ! tiny rule file exercising the grammar
@@ -181,10 +182,11 @@ def test_compile_rule_examples():
     assert accepts(machine, [xx, ab])
 
 
-def assert_compiler_agrees_with_oracle(rng, num_contexts):
+def assert_compiler_agrees_with_oracle(rng, num_contexts, **options):
     checked = 0
     for _ in range(120):
-        rs = random_ruleset(rng, num_rules=1, num_contexts=num_contexts)
+        rs = random_ruleset(rng, num_rules=1, num_contexts=num_contexts,
+                            **options)
         rule = rs.rules[0]
         machine = twol.compile_rule(rule, rs)
         for _ in range(8):
@@ -202,6 +204,51 @@ def test_oracle_compiler_agreement_randomized():
 def test_oracle_compiler_agreement_many_contexts():
     # where `=>` needs most care: every context may fail on either side
     assert_compiler_agrees_with_oracle(random.Random(2004), (3, 4))
+
+
+WIDER_DRAWS = {"set-sides": {"set_sides": True},
+               "dead-atoms": {"dead_atoms": True},
+               "infeasible-center": {"infeasible_center": True}}
+
+
+@pytest.mark.parametrize("options", WIDER_DRAWS.values(), ids=WIDER_DRAWS)
+def test_oracle_compiler_agreement_wider_rule_sets(options):
+    assert_compiler_agrees_with_oracle(random.Random(2009), (1, 4), **options)
+
+
+def test_compile_rule_is_the_pair_alphabet_reference_on_the_fixture(
+        fixture_parsed):
+    _, _, rs = fixture_parsed
+    assert len(rs.rules) == 20
+    for rule in rs.rules:
+        machine = twol.compile_rule(rule, rs)
+        assert same_machine(machine, reference_compile_rule(rule, rs))
+        assert machine.deterministic
+
+
+def test_compile_rule_is_the_pair_alphabet_reference_random():
+    rng = random.Random(2009)
+    for k in range(320):
+        options = {"set_sides": k % 2 == 1, "dead_atoms": k % 3 == 1,
+                   "infeasible_center": k % 4 == 3}
+        rs = random_ruleset(rng, num_rules=2, num_contexts=(1, 4), **options)
+        for rule in rs.rules:
+            assert same_machine(twol.compile_rule(rule, rs),
+                                reference_compile_rule(rule, rs))
+
+
+def test_each_fixture_rule_complements_over_its_own_classes(
+        fixture_parsed, monkeypatch):
+    # the fixture rules tell apart 3 to 7 classes of its 48 pairs
+    _, _, rs = fixture_parsed
+    complement = fst.complement
+    alphabets = []
+    monkeypatch.setattr(fst, "complement", lambda a, alphabet: (
+        alphabets.append(set(alphabet)) or complement(a, alphabet)))
+    for rule in rs.rules:
+        twol.compile_rule(rule, rs)
+    assert len(alphabets) == 20 + sum(r.op in ("=>", "<=>") for r in rs.rules)
+    assert max(map(len, alphabets)) <= 7 + 1  # the classes and the marker
 
 
 def test_compile_rule_rejects_unknown_operator(ruleset):
