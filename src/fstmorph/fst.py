@@ -2,9 +2,13 @@
 
 Transducers are immutable after construction: every operation returns a
 fresh machine with deterministically ordered arcs, so identical inputs
-give bit-identical results: trimmed with BFS state numbering, except that
-invert and relabel keep the states of their input, trimmed if it was.
-Arc labels are symbol ids from one shared SymbolTable; id 0 is epsilon.
+give bit-identical results.  The explorers and _minimal return machines
+trimmed with BFS state numbering, as do project and expand_labels.
+union, concat and star lay the states of their inputs side by side, and
+invert and relabel keep the states of theirs; these five trim nothing,
+because determinize, compose and att.export_att renumber what they
+read.  Arc labels are symbol ids from one shared SymbolTable; id 0 is
+epsilon.
 
 A machine carries ``deterministic=True`` only when its construction
 guarantees a trimmed, BFS-numbered DFA: the outputs of determinize,
@@ -43,33 +47,35 @@ sink state, a live state with an arc into a dead state would stay apart
 from an equivalent state without that arc.  A missing arc counts in no
 predecessor set, so the final and the nonfinal block each split states
 the other cannot, and both start in Hopcroft's work set.  minimize is
-determinize followed by _minimal.  intersect hands its raw reachable
-pair product to _minimal without trimming it first, so it returns the
-minimal DFA of the intersection; the minimal DFA is unique and _trim's
-numbering canonical, so that is the machine minimize would make of any
-DFA of the same language.
+determinize followed by _minimal.  intersect hands the raw reachable
+product of its machines, two or more, to _minimal without trimming it
+first, so it returns the minimal DFA of the intersection; the minimal
+DFA is unique and _trim's numbering canonical, so that is the machine
+minimize would make of any DFA of the same language, and one product
+of n machines is the machine that n - 1 intersects in a row make.
 
-Which machines are minimal: the outputs of minimize and intersect, as
-DFAs, those of expand_labels of a minimal DFA, and those of
-encoded_minimize, as transducers.  expand_labels puts each arc on a
-label once per symbol of the label's class; twol.compile_rule builds
-each rule over its own classes of pairs and expands it so.
-encoded_minimize reads each in:out pair as one label, minimizes that
-acceptor and decodes it (Mohri 2000), so its result is the minimal
-deterministic machine of a transducer's pair strings: minimal for the
-alignment of in and out symbols that the paths fix, which need not be
-the smallest transducer of the relation.  The lexicon (lexc.compile_lexicon) and the
-stored generator (lookup.build_pipeline) are its outputs.  determinize
-and complement give DFAs that need not be minimal; compose, relabel,
-invert, project and the rational operations minimize nothing.
+Which machines are minimal: the outputs of minimize and of intersect,
+of any number of machines, as DFAs, those of expand_labels of a minimal
+DFA, and those of encoded_minimize, as transducers.  expand_labels
+puts each arc on a label once per symbol of the label's class;
+twol.compile_rule builds each rule over its own classes of pairs and
+expands it so.  encoded_minimize reads each in:out pair as one label,
+minimizes that acceptor and decodes it (Mohri 2000), so its result is
+the minimal deterministic machine of a transducer's pair strings:
+minimal for the alignment of in and out symbols that the paths fix,
+which need not be the smallest transducer of the relation.  The lexicon
+(lexc.compile_lexicon) and the stored generator (lookup.build_pipeline)
+are its outputs.  determinize and complement give DFAs that need not be
+minimal; compose, relabel, invert, project and the rational operations
+minimize nothing.
 
 Every construction that explores its states lazily from a start key
 goes through _explore: determinize (subsets), intersect (DFA state
-pairs), compose (state pairs with an epsilon-filter state) and
-complement (DFA states and a sink).  Each gives only expand(key), the
-key's finality and moves; _explore numbers the reachable keys, and the
-caller trims them with _trim or, in intersect, refines them with
-_minimal.
+pairs keyed as one int, or tuples of the states of three or more DFAs),
+compose (state pairs with an epsilon-filter state) and complement (DFA
+states and a sink).  Each gives only expand(key), the key's finality
+and moves; _explore numbers the reachable keys, and the caller trims
+them with _trim or, in intersect, refines them with _minimal.
 
 _trim walks forward once.  It marks the states co-reachable over all
 arcs, then renumbers by BFS from the start along arcs into marked
@@ -306,7 +312,8 @@ def union(a: Transducer, b: Transducer) -> Transducer:
     arcs += [(s + off_a, i, o, d + off_a) for s, i, o, d in a.arcs]
     arcs += [(s + off_b, i, o, d + off_b) for s, i, o, d in b.arcs]
     finals = {f + off_a for f in a.finals} | {f + off_b for f in b.finals}
-    return _trim(a.table, 1 + a.num_states + b.num_states, 0, finals, arcs)
+    return Transducer(a.table, 1 + a.num_states + b.num_states, 0, finals,
+                      arcs)
 
 
 def concat(a: Transducer, b: Transducer) -> Transducer:
@@ -316,7 +323,8 @@ def concat(a: Transducer, b: Transducer) -> Transducer:
     arcs += [(s + off_b, i, o, d + off_b) for s, i, o, d in b.arcs]
     arcs += [(f, EPSILON_ID, EPSILON_ID, b.start + off_b) for f in a.finals]
     finals = {f + off_b for f in b.finals}
-    return _trim(a.table, a.num_states + b.num_states, 0, finals, arcs)
+    return Transducer(a.table, a.num_states + b.num_states, a.start, finals,
+                      arcs)
 
 
 def star(a: Transducer) -> Transducer:
@@ -324,7 +332,7 @@ def star(a: Transducer) -> Transducer:
     arcs = [(0, EPSILON_ID, EPSILON_ID, a.start + off)]
     arcs += [(s + off, i, o, d + off) for s, i, o, d in a.arcs]
     arcs += [(f + off, EPSILON_ID, EPSILON_ID, 0) for f in a.finals]
-    return _trim(a.table, a.num_states + 1, 0, {0}, arcs)
+    return Transducer(a.table, a.num_states + 1, 0, {0}, arcs)
 
 
 # ---------------------------------------------------------------------------
@@ -596,11 +604,28 @@ def complement(a: Transducer, alphabet) -> Transducer:
     return _trim(d.table, n, 0, finals, arcs, deterministic=True)
 
 
-def intersect(a: Transducer, b: Transducer) -> Transducer:
-    """The minimal DFA of L(a) & L(b): the reachable pair product of
-    their DFAs, refined by _minimal without being trimmed first."""
-    _check_tables(a, b)
-    da, db = determinize(a), determinize(b)
+def intersect(a: Transducer, b: Transducer, *more) -> Transducer:
+    """The minimal DFA of the intersection of the languages of a, b and
+    any more machines: the reachable product of their DFAs, refined by
+    _minimal without being trimmed first.  One product of n machines
+    gives the machine that n - 1 intersects in a row would, arc for arc.
+
+    Two machines key a state pair as one int, s1 * width + s2; three or
+    more key a product state on the tuple of its states.  The moves of a
+    product state are read off the first machine's map, so the product
+    is cheapest with the machine of fewest arcs per state first."""
+    _check_tables(a, b, *more)
+    dfas = [determinize(m) for m in (a, b, *more)]
+    if more:
+        start, expand = _tuple_product(dfas)
+    else:
+        start, expand = _pair_product(*dfas)
+    n, finals, arcs = _explore(start, expand)
+    return _minimal(a.table, 0, finals, _step_maps(n, arcs))
+
+
+def _pair_product(da, db):
+    """The start key and expand of the product of two DFAs."""
     steps_a, steps_b = da._transitions(), db._transitions()
     width = db.num_states  # the pair (s1, s2) is keyed s1 * width + s2
 
@@ -611,8 +636,28 @@ def intersect(a: Transducer, b: Transducer) -> Transducer:
                 [(i, i, t1 * width + step2[i])
                  for i, t1 in steps_a[s1].items() if i in step2])
 
-    n, finals, arcs = _explore(da.start * width + db.start, expand)
-    return _minimal(a.table, 0, finals, _step_maps(n, arcs))
+    return da.start * width + db.start, expand
+
+
+def _tuple_product(dfas):
+    """The start key and expand of the product of three or more DFAs."""
+    first, *rest = [d._transitions() for d in dfas]
+    finals = [d.finals for d in dfas]
+
+    def expand(key):
+        maps = [step[q] for step, q in zip(rest, key[1:])]
+        moves = []
+        for i, t in first[key[0]].items():
+            nxt = [t]
+            for step in maps:
+                if i not in step:
+                    break
+                nxt.append(step[i])
+            else:
+                moves.append((i, i, tuple(nxt)))
+        return all(q in f for q, f in zip(key, finals)), moves
+
+    return tuple(d.start for d in dfas), expand
 
 
 def difference(a: Transducer, b: Transducer, alphabet) -> Transducer:

@@ -35,11 +35,12 @@ each label read as any of its pairs, and a state pair told apart by a
 class is told apart by each of its pairs.  Class labels, like the
 marker, never leave compile_rule.
 
-combine_rules intersects the compiled rules into one acceptor by one
-fold.  Every intersect returns a canonical minimal DFA, so only the
-order of the fold is chosen, for speed: domain-led when a lexicon
-domain is given, in pairwise rounds when not.  apply_rules folds over
-the lexicon's domain and composes the lexicon with the result.
+combine_rules intersects the compiled rules into one acceptor.  Every
+intersect returns a canonical minimal DFA, so only the grouping is
+chosen, for speed: one product of a lexicon domain and all the rules
+when a domain is given, pairwise rounds when not.  apply_rules combines
+the rules over the lexicon's domain and composes the lexicon with the
+result.
 """
 
 from __future__ import annotations
@@ -614,20 +615,28 @@ def combine_rules(ruleset: RuleSet, strategy: str = "direct",
                   domain: fst.Transducer = None) -> fst.Transducer:
     """Intersection of all compiled rule acceptors over the pair alphabet.
 
-    Each intersect returns the minimal DFA of its two languages, numbered
-    canonically, and a compiled rule is minimal already, so the order of
-    the intersections never changes the result, only the sizes of the
-    machines in between and so the cost.  The order follows from whether
-    a domain is given:
+    fst.intersect returns the minimal DFA of the intersection of the
+    languages of its machines, numbered canonically, and a compiled rule
+    is minimal already, so how the rules are grouped into intersects
+    never changes the result, only the sizes of the machines in between
+    and so the cost.  The grouping follows from whether a domain is
+    given:
 
-    - A domain acceptor over the same pairs leads a left-to-right fold,
-      domain & r0, then & r1, and so on.  Every intermediate language is
-      a subset of the domain's, so each step stays domain-sized.
+    - A domain acceptor over the same pairs and all the rules make one
+      product, fst.intersect(domain, r0, r1, ...), refined once.  The
+      domain comes first: each product state's moves are read off the
+      domain's arcs, few per state, and the product follows only the
+      strings the domain reads, so it stays domain-sized.  With no
+      rules the domain is returned as it is.
     - Without a domain, the rules are intersected in pairwise rounds,
-      (r0 & r1), (r2 & r3), ..., then pairs of those.  A left-to-right
-      fold would intersect a product that grows towards the full result
-      with one small rule at every step; in rounds, most intersections
-      are of small machines, and the full-sized ones come last and few.
+      (r0 & r1), (r2 & r3), ..., then pairs of those.  Nothing bounds
+      one product of all the rules: that of the first 17 fixture rules
+      reaches 35 377 state tuples for a minimal DFA of 1 248 states,
+      and takes about 3 s where the rounds take about 0.2 s.  A
+      left-to-right fold would intersect a product that grows towards
+      the full result with one small rule at every step; in rounds,
+      most intersections are of small machines, and the full-sized ones
+      come last and few.
 
     Without a domain, warns if the rules contradict.
 
@@ -639,14 +648,9 @@ def combine_rules(ruleset: RuleSet, strategy: str = "direct",
         raise ValueError(f"bad combination strategy {strategy!r}")
     machines = [compile_rule(r, ruleset) for r in ruleset.rules]
     if domain is not None:
-        machines.insert(0, domain)
+        return fst.intersect(domain, *machines) if machines else domain
     if not machines:
         return fst.sigma_star(ruleset.table, ruleset.alphabet.pair_ids())
-    if domain is not None:
-        acc = machines[0]
-        for m in machines[1:]:
-            acc = fst.intersect(acc, m)
-        return acc
     while len(machines) > 1:
         paired = [fst.intersect(x, y)
                   for x, y in zip(machines[::2], machines[1::2])]

@@ -1,15 +1,23 @@
+import hashlib
+import pathlib
 import random
+import sys
 import warnings
 
 import pytest
 
-from fstmorph import fst, lexc, twol
+from fstmorph import att, fst, lexc, lookup, twol
 from fstmorph.errors import ParseError
 from fstmorph.symbols import EPSILON_ID, SymbolTable
 
 from conftest import (accepts, equivalent_acceptors, random_acceptor,
-                      random_pair_string, random_ruleset,
+                      random_pair_string, random_ruleset, read_fixture,
                       reference_compile_rule, same_machine)
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent
+                       / "bench"))
+
+import inputs  # noqa: E402
 
 SOURCE = """
 ! tiny rule file exercising the grammar
@@ -301,17 +309,83 @@ def test_combine_is_the_left_fold_random():
         assert_combine_is_the_left_fold(rs, [None, domain])
 
 
-def test_combine_is_the_left_fold_on_the_fixture(fixture_parsed,
-                                                 monkeypatch):
-    _, ast, full = fixture_parsed
-    rs = twol.RuleSet(full.alphabet, full.sets, full.rules[:17])
-    domains = []  # the lexicon domain that a pipeline build passes
+def lexicon_domain(ast, ruleset, monkeypatch):
+    """The lexicon domain that apply_rules passes to combine_rules."""
+    domains = []
     monkeypatch.setattr(twol, "combine_rules",
                         lambda ruleset, domain:
                         domains.append(domain) or domain)
-    twol.apply_rules(lexc.compile_lexicon(ast), rs)
+    twol.apply_rules(lexc.compile_lexicon(ast), ruleset)
     monkeypatch.undo()
-    assert_combine_is_the_left_fold(rs, [None, domains[0]])
+    return domains[0]
+
+
+def parsed_fixture(roots=None, affixes=None, rules=None):
+    """The fixture's lexicon and rules, parsed over one table in the
+    order a build parses them, with the text of roots.lexc,
+    affixes.lexc or phonology.twol replaced where one is given."""
+    table = SymbolTable()
+    ast = lexc.parse_lexc("\n".join([roots or read_fixture("roots.lexc"),
+                                     affixes or read_fixture("affixes.lexc")]),
+                          table)
+    return ast, twol.parse_twol(rules or read_fixture("phonology.twol"), table)
+
+
+def test_combine_is_the_left_fold_on_the_fixture(monkeypatch):
+    ast, full = parsed_fixture()
+    rs = twol.RuleSet(full.alphabet, full.sets, full.rules[:17])
+    domain = lexicon_domain(ast, rs, monkeypatch)
+    assert_combine_is_the_left_fold(rs, [None, domain])
+
+
+def test_combine_is_the_left_fold_on_larger_lexicon_domains(tmp_path,
+                                                            monkeypatch):
+    """The lexicon domains of the fixture with compounding (+Cmp back to
+    Root, so the domain is cyclic) and of the seed-1 synthetic grammar,
+    with all 20 rules."""
+    affixes = read_fixture("affixes.lexc")
+    compounding = affixes.replace("LEXICON N_RADIO\n",
+                                  "LEXICON N_RADIO\n+Cmp: Root ;\n")
+    assert compounding != affixes
+    synth = inputs.write_synth_grammar(1, tmp_path).files["roots.lexc"]
+    for roots, affixes in ((None, compounding),
+                           (synth.read_text(encoding="utf-8"), None)):
+        ast, rs = parsed_fixture(roots, affixes)
+        assert len(rs.rules) == 20
+        domain = lexicon_domain(ast, rs, monkeypatch)
+        assert_combine_is_the_left_fold(rs, [domain])
+
+
+def test_a_domain_combine_refines_once(monkeypatch):
+    """With the rule DFAs compiled beforehand, a domain combine on the
+    fixture makes one product of the domain and the 20 rules, and so
+    refines one machine, not one per rule."""
+    ast, rs = parsed_fixture()
+    domain = lexicon_domain(ast, rs, monkeypatch)
+    compiled = {id(r): twol.compile_rule(r, rs) for r in rs.rules}
+    monkeypatch.setattr(twol, "compile_rule",
+                        lambda rule, ruleset: compiled[id(rule)])
+    refined = []
+    minimal = fst._minimal
+    monkeypatch.setattr(fst, "_minimal",
+                        lambda *args: refined.append(args) or minimal(*args))
+    twol.combine_rules(rs, domain=domain)
+    assert len(refined) == 1
+
+
+def test_a_rule_file_with_no_rules_keeps_its_generator():
+    """The fixture lexicon under the fixture's alphabet and no rules: the
+    domain is the combined language as it is, and the generator's AT&T
+    text keeps its pinned SHA-256."""
+    rules = read_fixture("phonology.twol")
+    ast, rs = parsed_fixture(
+        rules=rules[:rules.index("\nRules\n") + len("\nRules\n")])
+    assert not rs.rules
+    generator = lookup.build_pipeline(ast, rs).generator
+    digest = hashlib.sha256(
+        att.export_att(generator, rs.table).encode("utf-8")).hexdigest()
+    assert digest == \
+        "de8e25d39df68a7e50af0682307933e6c2ba9e8f9ee55f706b474fed4a094ac5"
 
 
 def test_combine_monotone():
