@@ -37,7 +37,10 @@ acceptor by construction, so it is returned before any arc is scanned.
 
 A flagged machine also has transition maps, one {label: dst} dict per
 state, built from its arcs on first use and kept like the arcs_from
-lists; intersect, complement and minimize read them.
+lists; intersect, complement and minimize read them.  Any machine has
+one input index, input_index: one {input label: arcs} dict per state,
+also built on first use and kept; compose and the lookup walk
+(lookup_paths and _word_coreachable) read it.
 
 _minimal is the one refine-and-number core.  It takes a reachable DFA
 as per-state maps, drops the states that reach no final, refines the
@@ -140,12 +143,12 @@ class Transducer:
         return self._adj[state]
 
     def input_index(self):
-        """{(state, input label): arcs} over every arc, in arc order;
+        """One {input label: arcs} dict per state, the arcs in arc order;
         built on first use and kept, like the arcs_from lists."""
         if self._by_input is None:
-            index = {}
+            index = [{} for _ in range(self.num_states)]
             for a in self.arcs:
-                index.setdefault((a[0], a[1]), []).append(a)
+                index[a[0]].setdefault(a[1], []).append(a)
             self._by_input = index
         return self._by_input
 
@@ -269,23 +272,10 @@ def epsilon_machine(table: SymbolTable) -> Transducer:
     return Transducer(table, 1, 0, {0}, ())
 
 
-def string_pair(table, in_ids, out_ids) -> Transducer:
-    """Single-path transducer mapping in_ids to out_ids.
-
-    Unequal lengths are padded with epsilon on the shorter side,
-    left-aligned (symbols consumed in lockstep from the start).
-    """
-    n = max(len(in_ids), len(out_ids))
-    arcs = []
-    for k in range(n):
-        i = in_ids[k] if k < len(in_ids) else EPSILON_ID
-        o = out_ids[k] if k < len(out_ids) else EPSILON_ID
-        arcs.append((k, i, o, k + 1))
-    return Transducer(table, n + 1, 0, {n}, arcs)
-
-
 def string_acceptor(table, ids) -> Transducer:
-    return string_pair(table, ids, ids)
+    """Single-path acceptor of the symbol-id sequence ids."""
+    arcs = [(k, sid, sid, k + 1) for k, sid in enumerate(ids)]
+    return Transducer(table, len(arcs) + 1, 0, {len(arcs)}, arcs)
 
 
 def symbol_set_acceptor(table, ids) -> Transducer:
@@ -396,10 +386,11 @@ def compose(a: Transducer, b: Transducer) -> Transducer:
 
     def expand(key):
         s1, s2, f = key
+        b_arcs = b_by_input[s2]
         moves = []
         for _, i1, o1, d1 in a.arcs_from(s1):
             if o1 != EPSILON_ID:
-                for _, _, o2, d2 in b_by_input.get((s2, o1), ()):
+                for _, _, o2, d2 in b_arcs.get(o1, ()):
                     moves.append((i1, o2, (d1, d2, 0)))
             else:
                 # a moves alone on epsilon output: filter 0 or 1 -> 1
@@ -407,11 +398,11 @@ def compose(a: Transducer, b: Transducer) -> Transducer:
                     moves.append((i1, EPSILON_ID, (d1, s2, 1)))
                 # both move on epsilon: only from filter 0
                 if f == 0:
-                    for _, _, o2, d2 in b_by_input.get((s2, EPSILON_ID), ()):
+                    for _, _, o2, d2 in b_arcs.get(EPSILON_ID, ()):
                         moves.append((i1, o2, (d1, d2, 0)))
         # b moves alone on epsilon input: filter 0 or 2 -> 2
         if f in (0, 2):
-            for _, _, o2, d2 in b_by_input.get((s2, EPSILON_ID), ()):
+            for _, _, o2, d2 in b_arcs.get(EPSILON_ID, ()):
                 moves.append((EPSILON_ID, o2, (s1, d2, 2)))
         return s1 in a.finals and s2 in b.finals, moves
 
@@ -722,9 +713,10 @@ def _word_coreachable(a, index, ids):
     while stack:
         node = stack.pop()
         k, q = node
-        succ = [(k, arc[3]) for arc in index.get((q, EPSILON_ID), ())]
+        arcs = index[q]
+        succ = [(k, arc[3]) for arc in arcs.get(EPSILON_ID, ())]
         if k < n:
-            succ += [(k + 1, arc[3]) for arc in index.get((q, ids[k]), ())]
+            succ += [(k + 1, arc[3]) for arc in arcs.get(ids[k], ())]
         for nxt in succ:
             preds.setdefault(nxt, []).append(node)
             if nxt not in seen:
@@ -784,7 +776,8 @@ def lookup_paths(a: Transducer, ids, max_count: int) -> PathSet:
                 truncated = True
                 break
             found.add(out)
-        for arc in index.get((q, EPSILON_ID), ()):
+        arcs = index[q]
+        for arc in arcs.get(EPSILON_ID, ()):
             o, d = arc[2], arc[3]
             if arc in used:
                 truncated = truncated or live((k, d))
@@ -792,7 +785,7 @@ def lookup_paths(a: Transducer, ids, max_count: int) -> PathSet:
             stack.append((k, d, out + (o,) if o else out, True,
                           used + (arc,) if in_run else used))
         if k < n:
-            for _, _, o, d in index.get((q, ids[k]), ()):
+            for _, _, o, d in arcs.get(ids[k], ()):
                 stack.append((k + 1, d, out + (o,) if o else out, False,
                               ()))
     pairs = sorted(found, key=lambda o: (len(o), o))

@@ -136,11 +136,14 @@ class SymbolTable:
     def __init__(self):
         eps = Symbol(EPSILON_ID, EPSILON_TEXT)
         self._symbols = [eps]
+        self._texts = [EPSILON_TEXT]  # each symbol's text, by id
         self._index = {EPSILON_TEXT: EPSILON_ID}
         self._multichar_ids = set()
         # unescaped content -> id, for longest-match tokenization
         self._contents = {}
-        self._max_content = 1  # the longest content, for tokenize
+        # first code point -> the lengths (2 or more) of the contents it
+        # starts, longest first: the only lengths tokenize tries there
+        self._starts = {}
         self._pair_parts = {}  # pair-symbol id -> (upper id, lower id)
         self._frozen = False
 
@@ -159,6 +162,7 @@ class SymbolTable:
             sid = len(self._symbols)
             sym = Symbol(sid, text)
             self._symbols.append(sym)
+            self._texts.append(text)
             self._index[text] = sid
         # a one-character text is the content itself, even a '%'
         if multichar or (len(text) > 1 and len(unescape(text)) > 1):
@@ -179,7 +183,11 @@ class SymbolTable:
             return self._symbols[existing]
         sym = self.intern(text, multichar=True)
         self._contents[content] = sym.id
-        self._max_content = max(self._max_content, len(content))
+        if len(content) > 1:
+            lengths = self._starts.setdefault(content[0], [])
+            if len(content) not in lengths:
+                lengths.append(len(content))
+                lengths.sort(reverse=True)
         return sym
 
     def content_id(self, text: str):
@@ -205,7 +213,7 @@ class SymbolTable:
     def resolve(self, sid: int) -> str:
         if not isinstance(sid, int) or sid < 0 or sid >= len(self._symbols):
             raise SymbolError(f"unknown symbol id {sid!r}")
-        return self._symbols[sid].text
+        return self._texts[sid]
 
     def __len__(self):
         return len(self._symbols)
@@ -234,39 +242,40 @@ class SymbolTable:
     def tokenize(self, text: str, intern_new: bool = True) -> list[Symbol]:
         """Longest-match tokenization of NFC text against declared multichars.
 
+        At each code point only the content lengths that it starts are
+        tried, longest first, and then the code point alone.
         A lone unescaped "0" denotes epsilon (empty token sequence).
         With intern_new=False, characters outside the table raise
         UnknownSymbolError instead of interning fresh symbols.
         """
-        chars = _scan(nfc(text))
-        if len(chars) == 1 and chars[0] == ("0", False):
+        content = nfc(text)
+        if "%" in content:
+            content = "".join(ch for ch, _ in _scan(content))
+        elif content == "0":
             return []
-        content = "".join(ch for ch, _ in chars)
+        symbols, contents, starts = self._symbols, self._contents, self._starts
         out = []
         i = 0
         n = len(content)
-        max_len = self._max_content
         while i < n:
-            match_id = None
-            for length in range(min(max_len, n - i), 1, -1):
-                cand = self._contents.get(content[i : i + length])
-                if cand is not None:
-                    match_id = cand
-                    i += length
-                    break
-            if match_id is None:
-                ch = content[i]
-                single = self._contents.get(ch)
-                if single is not None:
-                    match_id = single
-                elif ch in self._index:
-                    match_id = self._index[ch]
-                elif intern_new:
+            ch = content[i]
+            for length in starts.get(ch, ()):
+                if length <= n - i:
+                    match_id = contents.get(content[i : i + length])
+                    if match_id is not None:
+                        i += length
+                        break
+            else:
+                match_id = contents.get(ch)
+                if match_id is None:
+                    match_id = self._index.get(ch)
+                if match_id is None:
+                    if not intern_new:
+                        raise UnknownSymbolError(
+                            f"character {ch!r} not in alphabet")
                     match_id = self.intern(ch).id
-                else:
-                    raise UnknownSymbolError(f"character {ch!r} not in alphabet")
                 i += 1
-            out.append(self._symbols[match_id])
+            out.append(symbols[match_id])
         return out
 
     # -- pair symbols ------------------------------------------------------
@@ -294,6 +303,19 @@ class SymbolTable:
     def is_pair_symbol(self, sid: int) -> bool:
         return sid in self._pair_parts
 
+    def texts(self) -> list[str]:
+        """Each symbol's text, indexed by id: the table's own list, to be
+        read and not changed."""
+        return self._texts
+
     def render(self, ids) -> str:
         """Concatenated text of a symbol-id sequence (epsilons dropped)."""
+        ids = list(ids)
+        texts = self._texts
+        try:
+            if min(ids, default=0) >= 0:
+                return "".join([texts[i] for i in ids if i != EPSILON_ID])
+        except (IndexError, TypeError):
+            pass
+        # a negative, too large or non-int id: resolve raises on it
         return "".join(self.resolve(i) for i in ids if i != EPSILON_ID)

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from fstmorph import fst, lexc, lookup, twol
-from fstmorph.symbols import EPSILON_ID, SymbolTable
+from fstmorph.errors import UnknownSymbolError
+from fstmorph.symbols import EPSILON_ID, SymbolTable, _scan, nfc
 
 FIXTURE_DIR = (pathlib.Path(__file__).resolve().parent.parent
                / "src" / "fstmorph" / "fixtures" / "sms_mini")
@@ -76,6 +77,60 @@ def normative_pipeline(fixture_sources):
         fixture_sources["lexc"], fixture_sources["twol"], mode="normative",
         orthography_text=fixture_sources["orthography"],
         relax_text=fixture_sources["relax"])
+
+
+# ---------------------------------------------------------------------------
+# plain references for the library's indexed paths
+
+def reference_tokenize(table, text, intern_new=True):
+    """SymbolTable.tokenize without its first-code-point index: at each
+    position every length from the longest declared content down to 2
+    is probed, then the code point alone."""
+    chars = _scan(nfc(text))
+    if len(chars) == 1 and chars[0] == ("0", False):
+        return []
+    content = "".join(ch for ch, _ in chars)
+    contents = table._contents
+    max_len = max(map(len, contents), default=1)
+    out = []
+    i = 0
+    n = len(content)
+    while i < n:
+        match_id = None
+        for length in range(min(max_len, n - i), 1, -1):
+            cand = contents.get(content[i : i + length])
+            if cand is not None:
+                match_id = cand
+                i += length
+                break
+        if match_id is None:
+            ch = content[i]
+            single = contents.get(ch)
+            if single is not None:
+                match_id = single
+            elif ch in table._index:
+                match_id = table._index[ch]
+            elif intern_new:
+                match_id = table.intern(ch).id
+            else:
+                raise UnknownSymbolError(f"character {ch!r} not in alphabet")
+            i += 1
+        out.append(match_id)
+    symbols = table.symbols()
+    return [symbols[sid] for sid in out]
+
+
+def string_pair(table, in_ids, out_ids):
+    """Single-path transducer mapping in_ids to out_ids.  Unequal
+    lengths are padded with epsilon on the shorter side, left-aligned
+    (symbols consumed in lockstep from the start)."""
+    n = max(len(in_ids), len(out_ids))
+    arcs = []
+    for k in range(n):
+        i = in_ids[k] if k < len(in_ids) else EPSILON_ID
+        o = out_ids[k] if k < len(out_ids) else EPSILON_ID
+        arcs.append((k, i, o, k + 1))
+    return fst.Transducer(table, n + 1, 0, {n}, arcs)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ from fstmorph import att, fst, lookup, twol
 from fstmorph.errors import ParseError, UnknownSymbolError
 from fstmorph.symbols import EPSILON_ID, EPSILON_TEXT, SymbolTable
 
+from conftest import string_pair
+
 
 @pytest.fixture
 def table():
@@ -28,7 +30,7 @@ def test_export_format(table):
 
 def test_round_trip_byte_identical(table):
     a, b = table.id_of("a"), table.id_of("b")
-    t = fst.union(fst.string_pair(table, [a, b], [b]),
+    t = fst.union(string_pair(table, [a, b], [b]),
                   fst.string_acceptor(table, [b]))
     first = att.export_att(t, table)
     again = att.export_att(att.import_att(first, table), table)

@@ -9,7 +9,8 @@ from fstmorph.symbols import EPSILON_ID, SymbolTable
 
 from conftest import (accepts, composed_relabel, equivalent_acceptors,
                       language, random_acceptor, random_transducer,
-                      reference_determinize, reverse, same_machine)
+                      reference_determinize, reverse, same_machine,
+                      string_pair)
 
 
 @pytest.fixture
@@ -33,7 +34,7 @@ def relation(machine, max_len=8, max_count=2000):
 # constructors and rational operations
 
 def test_string_pair_left_aligned_padding(table):
-    t = fst.string_pair(table, ids(table, "abc"), ids(table, "a"))
+    t = string_pair(table, ids(table, "abc"), ids(table, "a"))
     rel = relation(t)
     assert rel == {(tuple(ids(table, "abc")), tuple(ids(table, "a")))}
 

@@ -13,6 +13,13 @@ def test_generates_all_gold_forms(pipeline):
         assert set(lookup.generate(pipeline, analysis)) == expected, analysis
 
 
+def test_a_max_count_cut_keeps_the_form_the_walk_meets_first(pipeline):
+    """Pins the walk's order under a cut: of the two forms of this word
+    it meets alǥstan first, which is also the shortlex-first one."""
+    assert lookup.generate(pipeline, "algg+N+Sg+Loc+PxSg1",
+                           max_count=1) == ["alǥstan"]
+
+
 def test_generator_relation_is_exactly_gold(pipeline):
     """No over-generation anywhere: the full relation is the gold table
     plus the one deliberately unglossed lemma."""
@@ -147,7 +154,7 @@ def identity(table):
 
 def apply_filter(machine, table, text):
     ids = [s.id for s in table.tokenize(text, intern_new=False)]
-    out = fst.compose(fst.string_pair(table, ids, ids), machine)
+    out = fst.compose(fst.string_acceptor(table, ids), machine)
     return {table.render(p[1])
             for p in fst.enumerate_paths(out, 50, 100).pairs}
 

@@ -28,13 +28,13 @@ BIG = 10**6
 
 
 def compose_lookup(machine, ids, max_count):
-    acceptor = fst.string_pair(machine.table, ids, ids)
+    acceptor = fst.string_acceptor(machine.table, ids)
     return fst.enumerate_paths(fst.compose(acceptor, machine), len(ids),
                                max_count)
 
 
 def relaxed_compose_lookup(pipeline, ids, max_count):
-    acceptor = fst.string_pair(pipeline.table, ids, ids)
+    acceptor = fst.string_acceptor(pipeline.table, ids)
     chain = fst.compose(acceptor, composed_relabel(
         pipeline.analyzer, pipeline.relax, "input", keep=True))
     return fst.enumerate_paths(chain, len(ids), max_count)

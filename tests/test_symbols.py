@@ -1,10 +1,14 @@
+import random
 import unicodedata
+from collections import Counter
 
 import pytest
 
 from fstmorph.errors import SymbolError, UnknownSymbolError
 from fstmorph.symbols import (EPSILON_ID, EPSILON_TEXT, SymbolTable,
                               find_unescaped)
+
+from conftest import reference_tokenize
 
 
 def test_epsilon_is_id_zero():
@@ -76,6 +80,109 @@ def test_render_round_trip():
     table.declare_multichar("+N")
     ids = [s.id for s in table.tokenize("algg+N")]
     assert table.render(ids) == "algg+N"
+
+
+def test_render_rejects_ids_outside_the_table():
+    table = SymbolTable()
+    a = table.intern("a").id
+    assert table.render(iter([a, EPSILON_ID, a])) == "aa"
+    for bad in (-1, len(table)):
+        with pytest.raises(SymbolError, match="unknown symbol id"):
+            table.render([a, bad])
+
+
+# code points of the random tables: '%' and '0' need escapes, '^' is
+# declared alone as "%^", and e + U+0323 is the NFD spelling of "ẹ"
+LETTERS = ["a", "b", "^", "+", "%", "0", "e", "\u0323", "ẹ"]
+
+
+def random_spelling(rng, content):
+    return "".join("%" + c if c in "%0" or rng.random() < 0.3 else c
+                   for c in content)
+
+
+def random_table_ops(rng):
+    """(single code points to intern, multichar spellings to declare)."""
+    singles = rng.sample(LETTERS, rng.randint(0, len(LETTERS)))
+    contents = []
+    for _ in range(rng.randint(0, 6)):
+        content = "".join(rng.choice(LETTERS)
+                          for _ in range(rng.randint(1, 4)))
+        if contents and rng.random() < 0.5:
+            # an earlier content grown or cut: prefixes of each other
+            content = (rng.choice(contents) + content)[:rng.randint(1, 5)]
+        contents.append(content)
+    return singles, [random_spelling(rng, c) for c in contents]
+
+
+def table_of(ops):
+    table = SymbolTable()
+    singles, multis = ops
+    for ch in singles:
+        table.intern(ch)
+    for text in multis:
+        table.declare_multichar(text)
+    return table
+
+
+def random_text(rng, multis):
+    """Pieces of declared spellings, their prefixes, single code points
+    (escaped or not) and NFD sequences; now and then a lone "0" or a
+    dangling '%'."""
+    roll = rng.random()
+    if roll < 0.05:
+        return "0"
+    pieces = []
+    for _ in range(rng.randint(0, 6)):
+        kind = rng.random()
+        if multis and kind < 0.4:
+            text = rng.choice(multis)
+            pieces.append(text[:rng.randint(1, len(text))])
+        elif kind < 0.8:
+            pieces.append(random_spelling(rng, rng.choice(LETTERS)))
+        else:
+            pieces.append("e\u0323")
+    text = "".join(pieces)
+    return text + "%" if roll > 0.97 else text
+
+
+def outcome(tokenize, table, text, intern_new):
+    try:
+        return [s.id for s in tokenize(table, text, intern_new)]
+    except SymbolError as exc:
+        return type(exc), str(exc)
+
+
+def test_tokenize_agrees_with_the_plain_longest_match():
+    """SymbolTable.tokenize, which probes only the content lengths that
+    each code point starts, against reference_tokenize, which probes
+    every length: the same ids, the same new symbols in the same order,
+    and the same errors."""
+    rng = random.Random(20)
+    seen = Counter()
+    for _ in range(400):
+        ops = random_table_ops(rng)
+        base = table_of(ops)
+        long = [c for c in base._contents if len(c) > 1]
+        seen["prefix"] += any(a != b and b.startswith(a)
+                              for a in long for b in long)
+        seen["one code point"] += len(long) < len(base._contents)
+        for _ in range(8):
+            text = random_text(rng, ops[1])
+            for intern_new in (False, True):
+                fast, ref = table_of(ops), table_of(ops)
+                got = outcome(SymbolTable.tokenize, fast, text, intern_new)
+                want = outcome(reference_tokenize, ref, text, intern_new)
+                assert got == want, (ops, text, intern_new)
+                assert fast.symbols() == ref.symbols(), (ops, text)
+                seen[want[0].__name__ if isinstance(want, tuple)
+                     else "ok"] += 1
+                seen["lone 0"] += text == "0" and want == []
+                seen["new symbols"] += len(fast) > len(base)
+    assert seen["ok"] > 1000
+    for what in ("prefix", "one code point", "lone 0", "new symbols",
+                 "UnknownSymbolError", "SymbolError"):
+        assert seen[what] > 10, what
 
 
 def test_find_unescaped_skips_escape_pairs():
