@@ -229,11 +229,10 @@ def extract_glosses(ast: LexiconAst) -> dict:
 
 def split_lemma_pos(analysis_ids, table):
     """Lemma text and first tag of an analysis-side symbol sequence."""
-    texts = table.texts()
     lemma = []
     pos = None
     for sid in analysis_ids:
-        text = texts[sid]
+        text = table.resolve(sid)
         if text.startswith("+"):
             pos = text
             break

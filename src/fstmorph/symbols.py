@@ -136,7 +136,6 @@ class SymbolTable:
     def __init__(self):
         eps = Symbol(EPSILON_ID, EPSILON_TEXT)
         self._symbols = [eps]
-        self._texts = [EPSILON_TEXT]  # each symbol's text, by id
         self._index = {EPSILON_TEXT: EPSILON_ID}
         self._multichar_ids = set()
         # unescaped content -> id, for longest-match tokenization
@@ -162,7 +161,6 @@ class SymbolTable:
             sid = len(self._symbols)
             sym = Symbol(sid, text)
             self._symbols.append(sym)
-            self._texts.append(text)
             self._index[text] = sid
         # a one-character text is the content itself, even a '%'
         if multichar or (len(text) > 1 and len(unescape(text)) > 1):
@@ -213,7 +211,7 @@ class SymbolTable:
     def resolve(self, sid: int) -> str:
         if not isinstance(sid, int) or sid < 0 or sid >= len(self._symbols):
             raise SymbolError(f"unknown symbol id {sid!r}")
-        return self._texts[sid]
+        return self._symbols[sid].text
 
     def __len__(self):
         return len(self._symbols)
@@ -303,19 +301,6 @@ class SymbolTable:
     def is_pair_symbol(self, sid: int) -> bool:
         return sid in self._pair_parts
 
-    def texts(self) -> list[str]:
-        """Each symbol's text, indexed by id: the table's own list, to be
-        read and not changed."""
-        return self._texts
-
     def render(self, ids) -> str:
         """Concatenated text of a symbol-id sequence (epsilons dropped)."""
-        ids = list(ids)
-        texts = self._texts
-        try:
-            if min(ids, default=0) >= 0:
-                return "".join([texts[i] for i in ids if i != EPSILON_ID])
-        except (IndexError, TypeError):
-            pass
-        # a negative, too large or non-int id: resolve raises on it
         return "".join(self.resolve(i) for i in ids if i != EPSILON_ID)
