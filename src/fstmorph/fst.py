@@ -51,34 +51,36 @@ from an equivalent state without that arc.  A missing arc counts in no
 predecessor set, so the final and the nonfinal block each split states
 the other cannot, and both start in Hopcroft's work set.  minimize is
 determinize followed by _minimal.  intersect hands the raw reachable
-product of its machines, two or more, to _minimal without trimming it
+pair product of its two machines to _minimal without trimming it
 first, so it returns the minimal DFA of the intersection; the minimal
 DFA is unique and _trim's numbering canonical, so that is the machine
-minimize would make of any DFA of the same language, and one product
-of n machines is the machine that n - 1 intersects in a row make.
+minimize would make of any DFA of the same language.
 
-Which machines are minimal: the outputs of minimize and of intersect,
-of any number of machines, as DFAs, those of expand_labels of a minimal
-DFA, and those of encoded_minimize, as transducers.  expand_labels
-puts each arc on a label once per symbol of the label's class;
-twol.compile_rule builds each rule over its own classes of pairs and
-expands it so.  encoded_minimize reads each in:out pair as one label,
+Which machines are minimal: the outputs of minimize and intersect, as
+DFAs, those of expand_labels of a minimal DFA, and those of
+encoded_minimize, as transducers.  expand_labels puts each arc on a
+label once per symbol of the label's class; twol.compile_rule builds
+each rule over its own classes of pairs and expands it so.  encoded_minimize reads each in:out pair as one label,
 minimizes that acceptor and decodes it (Mohri 2000), so its result is
 the minimal deterministic machine of a transducer's pair strings:
 minimal for the alignment of in and out symbols that the paths fix,
 which need not be the smallest transducer of the relation.  The lexicon
 (lexc.compile_lexicon) and the stored generator (lookup.build_pipeline)
 are its outputs.  determinize and complement give DFAs that need not be
-minimal; compose, relabel, invert, project and the rational operations
-minimize nothing.
+minimal; compose, compose_through, relabel, invert, project and the
+rational operations minimize nothing.
 
 Every construction that explores its states lazily from a start key
 goes through _explore: determinize (subsets), intersect (DFA state
-pairs keyed as one int, or tuples of the states of three or more DFAs),
-compose (state pairs with an epsilon-filter state) and complement (DFA
-states and a sink).  Each gives only expand(key), the key's finality
-and moves; _explore numbers the reachable keys, and the caller trims
-them with _trim or, in intersect, refines them with _minimal.
+pairs keyed as one int), complement (DFA states and a sink) and
+_compose, the one composition core with the epsilon filter, which
+compose and compose_through share (a state of a, a state of the other
+machine and a filter state).  compose_through's other machine is the
+tuple of the states of its DFAs, so the lexicon composed through the
+rules is one product (twol.apply_rules).  Each gives only expand(key),
+the key's finality and moves; _explore numbers the reachable keys, and
+the caller trims them with _trim or, in intersect, refines them with
+_minimal.
 
 _trim walks forward once.  It marks the states co-reachable over all
 arcs, then renumbers by BFS from the start along arcs into marked
@@ -382,31 +384,73 @@ def compose(a: Transducer, b: Transducer) -> Transducer:
     """Exact relation composition; the epsilon filter guarantees each
     composed path is represented exactly once."""
     _check_tables(a, b)
-    b_by_input = b.input_index()
+    by_input = b.input_index()
+    return _compose(a, b.start,
+                    lambda s2, x: [arc[2:] for arc in by_input[s2].get(x, ())],
+                    b.finals.__contains__)
 
+
+def compose_through(a: Transducer, dfas, pairs) -> Transducer:
+    """a composed with the transducer that the DFAs accept together over
+    pair labels (Karttunen's intersecting composition): pairs maps each
+    symbol x to its [(pair label, y)], and an output x of a becomes y
+    where every DFA moves on the pair label; pairs[EPSILON_ID] holds the
+    pairs that read nothing.  One lazy product of a, the DFAs and the
+    epsilon filter, so the DFAs' intersection is never built.  With no
+    DFAs every pair passes."""
+    _check_tables(a, *dfas)
+    steps = [determinize(d)._transitions() for d in dfas]
+    finals = [d.finals for d in dfas]
+    memo = {}  # product states that differ only in a's state share these
+
+    def moves(key, x):
+        out = memo.get((key, x))
+        if out is not None:
+            return out
+        out = memo[key, x] = []
+        for label, y in pairs.get(x, ()):
+            nxt = []
+            for step, q in zip(steps, key):
+                t = step[q].get(label)
+                if t is None:
+                    break
+                nxt.append(t)
+            else:
+                out.append((y, tuple(nxt)))
+        return out
+
+    return _compose(a, tuple(d.start for d in dfas), moves,
+                    lambda key: all(q in f for q, f in zip(key, finals)))
+
+
+def _compose(a, start, moves, is_final):
+    """a composed with a machine given by its start key, moves(key, x),
+    the [(output, next key)] of that machine's key on input x, and
+    is_final(key); explored from (a's start, start, 0) and trimmed.
+
+    The third member of a state is the three-state epsilon filter: 1
+    after a moved alone on an epsilon output, 2 after the other machine
+    moved alone on an epsilon input, 0 otherwise.  A lone move of the
+    one may not follow a lone move of the other, and both move on
+    epsilon together only from 0, so of the paths that differ only in
+    how they interleave epsilon moves exactly one is kept."""
     def expand(key):
         s1, s2, f = key
-        b_arcs = b_by_input[s2]
-        moves = []
+        eps = moves(s2, EPSILON_ID)
+        out = []
         for _, i1, o1, d1 in a.arcs_from(s1):
             if o1 != EPSILON_ID:
-                for _, _, o2, d2 in b_arcs.get(o1, ()):
-                    moves.append((i1, o2, (d1, d2, 0)))
+                out += [(i1, o2, (d1, d2, 0)) for o2, d2 in moves(s2, o1)]
             else:
-                # a moves alone on epsilon output: filter 0 or 1 -> 1
-                if f in (0, 1):
-                    moves.append((i1, EPSILON_ID, (d1, s2, 1)))
-                # both move on epsilon: only from filter 0
+                if f != 2:
+                    out.append((i1, EPSILON_ID, (d1, s2, 1)))
                 if f == 0:
-                    for _, _, o2, d2 in b_arcs.get(EPSILON_ID, ()):
-                        moves.append((i1, o2, (d1, d2, 0)))
-        # b moves alone on epsilon input: filter 0 or 2 -> 2
-        if f in (0, 2):
-            for _, _, o2, d2 in b_arcs.get(EPSILON_ID, ()):
-                moves.append((EPSILON_ID, o2, (s1, d2, 2)))
-        return s1 in a.finals and s2 in b.finals, moves
+                    out += [(i1, o2, (d1, d2, 0)) for o2, d2 in eps]
+        if f != 1:
+            out += [(EPSILON_ID, o2, (s1, d2, 2)) for o2, d2 in eps]
+        return s1 in a.finals and is_final(s2), out
 
-    n, finals, arcs = _explore((a.start, b.start, 0), expand)
+    n, finals, arcs = _explore((a.start, start, 0), expand)
     return _trim(a.table, n, 0, finals, arcs)
 
 
@@ -595,30 +639,16 @@ def complement(a: Transducer, alphabet) -> Transducer:
     return _trim(d.table, n, 0, finals, arcs, deterministic=True)
 
 
-def intersect(a: Transducer, b: Transducer, *more) -> Transducer:
-    """The minimal DFA of the intersection of the languages of a, b and
-    any more machines: the reachable product of their DFAs, refined by
-    _minimal without being trimmed first.  One product of n machines
-    gives the machine that n - 1 intersects in a row would, arc for arc.
-
-    Two machines key a state pair as one int, s1 * width + s2; three or
-    more key a product state on the tuple of its states.  The moves of a
-    product state are read off the first machine's map, so the product
-    is cheapest with the machine of fewest arcs per state first."""
-    _check_tables(a, b, *more)
-    dfas = [determinize(m) for m in (a, b, *more)]
-    if more:
-        start, expand = _tuple_product(dfas)
-    else:
-        start, expand = _pair_product(*dfas)
-    n, finals, arcs = _explore(start, expand)
-    return _minimal(a.table, 0, finals, _step_maps(n, arcs))
-
-
-def _pair_product(da, db):
-    """The start key and expand of the product of two DFAs."""
+def intersect(a: Transducer, b: Transducer) -> Transducer:
+    """The minimal DFA of L(a) & L(b): the reachable pair product of
+    their DFAs, refined by _minimal without being trimmed first.  A state
+    pair (s1, s2) is keyed as one int, s1 * width + s2, and its moves are
+    read off a's map, so the product is cheapest with the machine of
+    fewest arcs per state first."""
+    _check_tables(a, b)
+    da, db = determinize(a), determinize(b)
     steps_a, steps_b = da._transitions(), db._transitions()
-    width = db.num_states  # the pair (s1, s2) is keyed s1 * width + s2
+    width = db.num_states
 
     def expand(key):
         s1, s2 = divmod(key, width)
@@ -627,28 +657,8 @@ def _pair_product(da, db):
                 [(i, i, t1 * width + step2[i])
                  for i, t1 in steps_a[s1].items() if i in step2])
 
-    return da.start * width + db.start, expand
-
-
-def _tuple_product(dfas):
-    """The start key and expand of the product of three or more DFAs."""
-    first, *rest = [d._transitions() for d in dfas]
-    finals = [d.finals for d in dfas]
-
-    def expand(key):
-        maps = [step[q] for step, q in zip(rest, key[1:])]
-        moves = []
-        for i, t in first[key[0]].items():
-            nxt = [t]
-            for step in maps:
-                if i not in step:
-                    break
-                nxt.append(step[i])
-            else:
-                moves.append((i, i, tuple(nxt)))
-        return all(q in f for q, f in zip(key, finals)), moves
-
-    return tuple(d.start for d in dfas), expand
+    n, finals, arcs = _explore(da.start * width + db.start, expand)
+    return _minimal(a.table, 0, finals, _step_maps(n, arcs))
 
 
 def difference(a: Transducer, b: Transducer, alphabet) -> Transducer:

@@ -20,7 +20,9 @@ they open, and an entry still open there is an error, as is a quoted
 token among the Multichar_Symbols.  Several files compiled together
 share one namespace: parse them as one list of (filename, text)
 sources, read in order as if concatenated, with each error located in
-its own file.
+its own file.  Every Multichar_Symbols block of every file is declared
+before any entry is tokenized, so the order of the files, or of the
+sections in a file, does not change how an entry reads.
 """
 
 from __future__ import annotations
@@ -102,6 +104,7 @@ def parse_lexc(source, table: SymbolTable = None,
         table = SymbolTable()
     lexicons = {}
     entries = None  # the current LEXICON's
+    pending = []  # (its LEXICON's entries, fields, gloss, first field)
     mode = None  # None | "multichar" | "lexicon"
     fields, gloss, start = [], None, None  # the open entry
 
@@ -151,21 +154,27 @@ def parse_lexc(source, table: SymbolTable = None,
                     continue
                 if tok.text != ";":
                     fields.append(tok.text[:-1])
-                entries.append(_entry(fields, gloss, start, table))
+                pending.append((entries, fields, gloss, start))
                 fields, gloss, start = [], None, None
     if fields or gloss:
         raise unterminated()
+    for entries, fields, gloss, start in pending:
+        entries.append(_entry(fields, gloss, start, table))
 
     ast = LexiconAst(lexicons, table)
-    _validate(ast, sources[0][0] if len(sources) == 1 else None)
+    _validate(ast, [name for name, _ in sources])
     return ast
 
 
-def _validate(ast, filename=None):
-    """filename names the one source, if there is one, for an error that
-    no single entry locates."""
+def _validate(ast, filenames):
+    """filenames name the sources, for an error that no single entry
+    locates: the one source is its location, and several are named."""
     if "Root" not in ast.lexicons:
-        raise ParseError("no LEXICON Root defined", filename)
+        if len(filenames) == 1:
+            raise ParseError("no LEXICON Root defined", filenames[0])
+        named = ", ".join(str(f) for f in filenames if f is not None)
+        raise ParseError("no LEXICON Root defined"
+                         + (f" in {named}" if named else ""))
     for name, entries in ast.lexicons.items():
         for e in entries:
             if e.contlex != END and e.contlex not in ast.lexicons:

@@ -171,13 +171,17 @@ class SymbolTable:
         """Intern a multicharacter symbol and register it for tokenization.
 
         Escaped and unescaped spellings of one symbol ("%^V2VV", "^V2VV")
-        share a content key and resolve to the first-declared id.
+        share a content key and resolve to the first-declared id.  A
+        content already interned as a plain symbol keeps that symbol's
+        id, now declared: one content never has two ids.
         """
         content = unescape(nfc(text))
         if not content:
             raise SymbolError(f"multichar symbol {text!r} has empty content")
-        existing = self._contents.get(content)
+        existing = self._find(content)
         if existing is not None:
+            self._contents[content] = existing
+            self._multichar_ids.add(existing)
             return self._symbols[existing]
         sym = self.intern(text, multichar=True)
         self._contents[content] = sym.id
@@ -188,12 +192,19 @@ class SymbolTable:
                 lengths.sort(reverse=True)
         return sym
 
+    def _find(self, content):
+        """The id of the symbol with this unescaped content, or None: a
+        declared content first, then a plain one-code-point symbol.
+        content_id, symbol_for and declare_multichar look up here, and
+        tokenize looks up a lone code point in the same order."""
+        sid = self._contents.get(content)
+        if sid is None and len(content) == 1:
+            sid = self._index.get(content)
+        return sid
+
     def content_id(self, text: str):
         """Id of the symbol with this unescaped content, or None."""
-        content = unescape(nfc(text))
-        if len(content) == 1 and content in self._index:
-            return self._index[content]
-        return self._contents.get(content)
+        return self._find(unescape(nfc(text)))
 
     def symbol_for(self, text: str) -> Symbol:
         """Resolve a whitespace-delimited source token to one symbol,
@@ -201,7 +212,7 @@ class SymbolTable:
         content = unescape(nfc(text))
         if not content:
             raise SymbolError(f"empty symbol token {text!r}")
-        existing = self._contents.get(content)
+        existing = self._find(content)
         if existing is not None:
             return self._symbols[existing]
         if len(content) == 1:
@@ -263,7 +274,7 @@ class SymbolTable:
                     if match_id is not None:
                         i += length
                         break
-            else:
+            else:  # _find's order, inlined on this per-character path
                 match_id = contents.get(ch)
                 if match_id is None:
                     match_id = self._index.get(ch)

@@ -2,7 +2,7 @@
 
 Rules are parallel constraints over equal-length strings of feasible
 lexical:surface pairs; epsilon is a real "0" member of a pair until
-pairs_to_transducer converts the combined acceptor for composition.
+apply_rules reads each pair as a lexical and a surface symbol.
 
 Context regexes parse to four node types, Atom, Seq, Alt and Star,
 which are all that check_rule and compile_rule read: `x+` parses to
@@ -35,12 +35,11 @@ each label read as any of its pairs, and a state pair told apart by a
 class is told apart by each of its pairs.  Class labels, like the
 marker, never leave compile_rule.
 
-combine_rules intersects the compiled rules into one acceptor.  Every
-intersect returns a canonical minimal DFA, so only the grouping is
-chosen, for speed: one product of a lexicon domain and all the rules
-when a domain is given, pairwise rounds when not.  apply_rules combines
-the rules over the lexicon's domain and composes the lexicon with the
-result.
+apply_rules builds the generator as one product of the lexicon and the
+compiled rule DFAs (fst.compose_through), after Karttunen's
+intersecting composition: the rules are never intersected with each
+other.  combine_rules intersects them into one acceptor in pairwise
+rounds; no build calls it, and it stays for the benchmark scripts.
 """
 
 from __future__ import annotations
@@ -144,16 +143,6 @@ class RuleSet:
 _SPECIALS = "()|*+?_;"
 
 
-def _split_pair_token(text):
-    """Split a symbol token at the single unescaped ':' if present."""
-    i = find_unescaped(text, ":".__eq__)
-    if i == len(text):
-        return text, None
-    if find_unescaped(text, ":".__eq__, i + 1) < len(text):
-        raise ParseError(f"more than one ':' in pair {text!r}")
-    return text[:i], text[i + 1 :]
-
-
 class _Parser:
     def __init__(self, source, table, filename=None):
         lines = lex_lines([(filename, source)], "rule name", _SPECIALS)
@@ -190,6 +179,16 @@ class _Parser:
         not quoted), else None: a quoted token is always a symbol."""
         tok = self.peek()
         return None if tok is None or tok.quoted else tok.text
+
+    def split_pair(self, tok):
+        """Split a symbol token at the single unescaped ':' if present."""
+        text = tok.text
+        i = find_unescaped(text, ":".__eq__)
+        if i == len(text):
+            return text, None
+        if find_unescaped(text, ":".__eq__, i + 1) < len(text):
+            self.err(f"more than one ':' in pair {text!r}", tok)
+        return text[:i], text[i + 1 :]
 
     def expect(self, text):
         tok = self.next()
@@ -231,7 +230,7 @@ class _Parser:
             tok = self.next()
             if tok.text == ";" and not tok.quoted:
                 break
-            l_txt, r_txt = _split_pair_token(tok.text)
+            l_txt, r_txt = self.split_pair(tok)
             l = self._symbol_or_eps(l_txt, tok)
             r = self._symbol_or_eps(r_txt, tok) if r_txt is not None else l
             if (l, r) == (EPSILON_ID, EPSILON_ID):
@@ -273,7 +272,7 @@ class _Parser:
                 self.err(f"duplicate rule name {name_tok.text!r}", name_tok)
             names.add(name_tok.text)
             center_tok = self.next()
-            l_txt, r_txt = _split_pair_token(center_tok.text)
+            l_txt, r_txt = self.split_pair(center_tok)
             l = self._symbol_or_eps(l_txt, center_tok)
             r = (self._symbol_or_eps(r_txt, center_tok)
                  if r_txt is not None else l)
@@ -375,7 +374,7 @@ class _Parser:
             return Atom(None, None)
         if op in ("*", "+", "|", ")"):
             self.err(f"misplaced {tok.text!r} in context regex", tok)
-        l_txt, r_txt = _split_pair_token(tok.text)
+        l_txt, r_txt = self.split_pair(tok)
         return Atom(self._side_spec(l_txt, tok),
                     self._side_spec(r_txt if r_txt is not None else l_txt, tok))
 
@@ -611,34 +610,25 @@ def compile_rule(rule: TwolRule, ruleset: RuleSet) -> fst.Transducer:
                              dict(zip(sigma, classes.values())))
 
 
-def combine_rules(ruleset: RuleSet, strategy: str = "direct",
-                  domain: fst.Transducer = None) -> fst.Transducer:
+def combine_rules(ruleset: RuleSet,
+                  strategy: str = "direct") -> fst.Transducer:
     """Intersection of all compiled rule acceptors over the pair alphabet.
 
     fst.intersect returns the minimal DFA of the intersection of the
     languages of its machines, numbered canonically, and a compiled rule
     is minimal already, so how the rules are grouped into intersects
     never changes the result, only the sizes of the machines in between
-    and so the cost.  The grouping follows from whether a domain is
-    given:
+    and so the cost.  The rules are intersected in pairwise rounds,
+    (r0 & r1), (r2 & r3), ..., then pairs of those.  Nothing bounds one
+    product of all the rules: that of the first 17 fixture rules reaches
+    35 377 state tuples for a minimal DFA of 1 248 states, and takes
+    about 3 s where the rounds take about 0.2 s.  A left-to-right fold
+    would intersect a product that grows towards the full result with
+    one small rule at every step; in rounds, most intersections are of
+    small machines, and the full-sized ones come last and few.
 
-    - A domain acceptor over the same pairs and all the rules make one
-      product, fst.intersect(domain, r0, r1, ...), refined once.  The
-      domain comes first: each product state's moves are read off the
-      domain's arcs, few per state, and the product follows only the
-      strings the domain reads, so it stays domain-sized.  With no
-      rules the domain is returned as it is.
-    - Without a domain, the rules are intersected in pairwise rounds,
-      (r0 & r1), (r2 & r3), ..., then pairs of those.  Nothing bounds
-      one product of all the rules: that of the first 17 fixture rules
-      reaches 35 377 state tuples for a minimal DFA of 1 248 states,
-      and takes about 3 s where the rounds take about 0.2 s.  A
-      left-to-right fold would intersect a product that grows towards
-      the full result with one small rule at every step; in rounds,
-      most intersections are of small machines, and the full-sized ones
-      come last and few.
-
-    Without a domain, warns if the rules contradict.
+    Warns if the rules contradict.  No build calls this: apply_rules
+    never builds the rules' intersection.
 
     strategy names the one combination there is, "direct"; any other
     value is a ValueError.  The parameter stays only for the benchmark
@@ -647,8 +637,6 @@ def combine_rules(ruleset: RuleSet, strategy: str = "direct",
     if strategy != "direct":
         raise ValueError(f"bad combination strategy {strategy!r}")
     machines = [compile_rule(r, ruleset) for r in ruleset.rules]
-    if domain is not None:
-        return fst.intersect(domain, *machines) if machines else domain
     if not machines:
         return fst.sigma_star(ruleset.table, ruleset.alphabet.pair_ids())
     while len(machines) > 1:
@@ -662,39 +650,17 @@ def combine_rules(ruleset: RuleSet, strategy: str = "direct",
     return acc
 
 
-def pairs_to_transducer(acceptor: fst.Transducer,
-                        table: SymbolTable) -> fst.Transducer:
-    """Reinterpret an acceptor over pair symbols as a transducer."""
-    arcs = []
-    for src, i, o, dst in acceptor.arcs:
-        if i != o:
-            raise FstMorphError("pair acceptor expected (in == out)")
-        if i == EPSILON_ID:
-            arcs.append((src, EPSILON_ID, EPSILON_ID, dst))
-        else:
-            l, s = table.pair_parts(i)
-            arcs.append((src, l, s, dst))
-    return fst.Transducer(table, acceptor.num_states, acceptor.start,
-                          acceptor.finals, arcs)
-
-
 def apply_rules(lexicon: fst.Transducer, ruleset: RuleSet) -> fst.Transducer:
-    """The generator: lexicon composed with the rules, which are combined
-    only over the pair strings whose lexical side the lexicon emits
-    (insertion pairs anywhere).  Over all pair strings the combination
-    can explode; this keeps every machine lexicon-sized and leaves the
-    generator unchanged."""
-    table = ruleset.table
-    stems = fst.minimize(fst.project(lexicon, side="output"))
-    by_lex = {}  # lexical symbol: the pairs over it
-    for pid in ruleset.alphabet.pair_ids():
-        by_lex.setdefault(table.pair_parts(pid)[0], []).append(pid)
-    insertions = by_lex.pop(EPSILON_ID, [])
-    arcs = [(src, pid, pid, dst) for src, i, _, dst in stems.arcs
-            for pid in by_lex.get(i, ())]
-    arcs += [(q, pid, pid, q) for q in range(stems.num_states)
-             for pid in insertions]
-    domain = fst.Transducer(table, stems.num_states, stems.start,
-                            stems.finals, arcs)
-    rules = pairs_to_transducer(combine_rules(ruleset, domain=domain), table)
-    return fst.compose(lexicon, rules)
+    """The generator: the lexicon composed through the compiled rules in
+    one product (fst.compose_through).  Each lexical symbol that the
+    lexicon writes becomes the surface side of a feasible pair over it,
+    and insertion pairs stand anywhere, wherever every rule accepts the
+    pair.  The product follows only the pair strings the lexicon reads,
+    so it stays lexicon-sized, and the rules' intersection, which over
+    all pair strings can explode, is never built."""
+    by_lex = {}  # lexical symbol: [(pair id, surface symbol)]
+    for (l, s), pid in zip(ruleset.alphabet.pairs,
+                           ruleset.alphabet.pair_ids()):
+        by_lex.setdefault(l, []).append((pid, s))
+    rules = [compile_rule(r, ruleset) for r in ruleset.rules]
+    return fst.compose_through(lexicon, rules, by_lex)

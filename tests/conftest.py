@@ -235,6 +235,42 @@ def chain_lexicon(ast):
                           {state_of[lexc.END]}, arcs)
 
 
+def pairs_to_transducer(acceptor, table):
+    """An acceptor over pair symbols read as a transducer: each pair arc
+    becomes an arc from its lexical to its surface side."""
+    arcs = []
+    for src, i, o, dst in acceptor.arcs:
+        assert i == o, "pair acceptor expected (in == out)"
+        l, s = table.pair_parts(i) if i != EPSILON_ID else (i, i)
+        arcs.append((src, l, s, dst))
+    return fst.Transducer(table, acceptor.num_states, acceptor.start,
+                          acceptor.finals, arcs)
+
+
+def reference_apply_rules(lexicon, ruleset):
+    """The generator built in stages, a reference for twol.apply_rules,
+    which builds it in one product.  The lexicon's output side,
+    minimized, with each arc put once per feasible pair over its symbol
+    and the insertion pairs looping at every state, is the pair domain;
+    it and the compiled rules are intersected left to right, and the
+    result, read as a transducer, is composed after the lexicon."""
+    table = ruleset.table
+    stems = fst.minimize(fst.project(lexicon, side="output"))
+    by_lex = {}  # lexical symbol: the pairs over it
+    for pid in ruleset.alphabet.pair_ids():
+        by_lex.setdefault(table.pair_parts(pid)[0], []).append(pid)
+    insertions = by_lex.pop(EPSILON_ID, [])
+    arcs = [(src, pid, pid, dst) for src, i, _, dst in stems.arcs
+            for pid in by_lex.get(i, ())]
+    arcs += [(q, pid, pid, q) for q in range(stems.num_states)
+             for pid in insertions]
+    acc = fst.Transducer(table, stems.num_states, stems.start, stems.finals,
+                         arcs)
+    for rule in ruleset.rules:
+        acc = fst.intersect(acc, twol.compile_rule(rule, ruleset))
+    return fst.compose(lexicon, pairs_to_transducer(acc, table))
+
+
 def mapping_transducer(table, alphabet_ids, mapping, keep_original):
     """One-state transducer: identity over alphabet_ids except that each
     key of mapping, {symbol: [variants]}, rewrites to its variants (and,

@@ -96,6 +96,11 @@ NORMATIVE_DIGESTS = {
         "13abf4c122a2237d5937280bfaa5f5319e91ed4a027754a1b4857414a578dbcc",
 }
 
+# SHA-256 of generator.att of the fixture with compounding (+Cmp back to
+# Root under N_RADIO, so the lexicon is cyclic), built as ARTIFACT_DIGESTS
+COMPOUNDING_DIGEST = \
+    "92118552b386de24ca7b05630a4de7fb12ecc4e5b60293916c2f223e71b7da97"
+
 # SHA-256 of `fstmorph export-att DIR --which analyzer` on those builds:
 # the analyzer.att that compile wrote into DIR before format 2
 ANALYZER_DIGESTS = {
@@ -155,6 +160,19 @@ def test_normative_artifacts_are_pinned(tmp_path, capsys):
         assert sha256(out / "generator.att") == NORMATIVE_DIGESTS[grammar]
         assert analyzer_digest(out, capsys) == \
             ANALYZER_DIGESTS[grammar, "normative"]
+
+
+def test_compounding_artifacts_are_pinned(tmp_path):
+    affixes = (FIXTURE_DIR / "affixes.lexc").read_text(encoding="utf-8")
+    compounding = affixes.replace("LEXICON N_RADIO\n",
+                                  "LEXICON N_RADIO\n+Cmp: Root ;\n")
+    assert compounding != affixes
+    (tmp_path / "affixes.lexc").write_text(compounding, encoding="utf-8")
+    args = full_args()
+    args[1] = str(tmp_path / "affixes.lexc")
+    out = tmp_path / "out"
+    assert cli.main(["compile", *args, "--out", str(out)]) == 0
+    assert sha256(out / "generator.att") == COMPOUNDING_DIGEST
 
 
 def copy_dir(src, dest):
@@ -339,6 +357,20 @@ def test_test_command_passes(capsys):
     code = cli.main(["test", *full_args(),
                      "--suite", str(FIXTURE_DIR / "suite.txt")])
     assert code == 0
+    out = capsys.readouterr().out
+    assert "gen: 16 passed, 0 failed" in out
+    assert "ana: 16 passed, 0 failed" in out
+
+
+def test_test_command_passes_with_the_lexicon_files_swapped(tmp_path,
+                                                             capsys):
+    """affixes.lexc uses +Sg and %^V2VV before roots.lexc declares
+    them."""
+    args = full_args()
+    args[:2] = args[1::-1]
+    assert cli.main(["compile", *args, "--out", str(tmp_path / "out")]) == 0
+    assert cli.main(["test", *args,
+                     "--suite", str(FIXTURE_DIR / "suite.txt")]) == 0
     out = capsys.readouterr().out
     assert "gen: 16 passed, 0 failed" in out
     assert "ana: 16 passed, 0 failed" in out

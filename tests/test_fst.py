@@ -226,48 +226,17 @@ def test_intersect_is_the_minimal_pair_product(table, fixture_parsed):
     assert with_dead >= 100  # 203 of the 300 random products have some
 
 
-def test_intersect_of_many_is_the_left_fold(table):
-    """One product of 3 to 6 machines gives, arc for arc, the machine
-    that intersecting them two at a time from the left gives.  In half
-    the sets every machine also accepts one shared word, so that most
-    products are not empty."""
-    sym_ids = ids(table, "ab")
-    rng = random.Random(41)
-    seen = dict.fromkeys(("epsilon", "nondeterministic", "cyclic",
-                          "empty input", "empty result", "nonempty result"),
-                         0)
-    for _ in range(300):
-        machines = [random_acceptor(table, sym_ids, rng, max_states=5,
-                                    max_arcs=12)
-                    for _ in range(rng.randint(3, 6))]
-        if rng.random() < 0.5:
-            word = fst.string_acceptor(
-                table, rng.choices(sym_ids, k=rng.randint(0, 3)))
-            machines = [fst.union(m, word) for m in machines]
-        want = machines[0]
-        for m in machines[1:]:
-            want = fst.intersect(want, m)
-        got = fst.intersect(*machines)
-        assert same_machine(got, want) and got.deterministic
-        arcs = [a for m in machines for a in m.arcs]
-        seen["epsilon"] += any(a[1] == EPSILON_ID for a in arcs)
-        seen["nondeterministic"] += any(
-            len({a[:2] for a in m.arcs}) < len(m.arcs) for m in machines)
-        seen["cyclic"] += any(reachable(a[3], m.arcs) >= {a[0]}
-                              for m in machines for a in m.arcs)
-        seen["empty input"] += any(fst.is_empty(m) for m in machines)
-        seen["empty result" if fst.is_empty(got) else "nonempty result"] += 1
-    assert min(seen.values()) >= 30, seen
-
-
 def test_intersect_refuses_machines_on_other_tables(table):
     other = SymbolTable()
     other.intern("a")
     a = fst.string_acceptor(table, ids(table, "a"))
     b = fst.string_acceptor(other, [other.id_of("a")])
-    for machines in ((a, b), (a, a, b), (b, a, a, a)):
+    for machines in ((a, b), (b, a)):
         with pytest.raises(AlphabetMismatchError):
             fst.intersect(*machines)
+    for lexicon, dfas in ((a, [a, b]), (b, [a])):
+        with pytest.raises(AlphabetMismatchError):
+            fst.compose_through(lexicon, dfas, {})
 
 
 def residual_count(d, sym_ids):

@@ -70,6 +70,16 @@ def test_missing_root():
         lexc.parse_lexc("LEXICON A\nfoo # ;\n")
 
 
+def test_missing_root_names_the_lexicon_files():
+    with pytest.raises(ParseError, match=r"^a\.lexc: no LEXICON Root"):
+        lexc.parse_lexc([("a.lexc", "LEXICON A\nfoo # ;\n")])
+    with pytest.raises(ParseError, match=r"^no LEXICON Root defined in "
+                                         r"a\.lexc, b\.lexc$") as info:
+        lexc.parse_lexc([("a.lexc", "LEXICON A\nfoo # ;\n"),
+                         ("b.lexc", "LEXICON B\nbar # ;\n")])
+    assert (info.value.filename, info.value.line) == (None, None)
+
+
 def test_duplicate_lexicon():
     with pytest.raises(ParseError, match="duplicate"):
         lexc.parse_lexc("LEXICON Root\nx # ;\nLEXICON Root\ny # ;\n")
@@ -111,6 +121,21 @@ def test_named_sources_parse_as_one_and_locate_their_errors():
     with pytest.raises(ParseError, match=r"^b\.lexc:3: undefined .*'BAD'"):
         lexc.parse_lexc([("a.lexc", src1),
                          ("b.lexc", "NEXT ;\nLEXICON NEXT\nef BAD ;\n")])
+
+
+def test_multichars_declared_later_read_every_entry():
+    """A Multichar_Symbols block in a later file, or after a LEXICON in
+    the same file, applies to the entries before it: both orders give
+    the same strings over the same symbols."""
+    declare = "Multichar_Symbols\n+N %^T\n"
+    entries = "LEXICON Root\na+N:a%^T # ;\n"
+    for later in ([entries, declare], [entries + declare]):
+        ast = lexc.parse_lexc([(None, text) for text in later])
+        first = lexc.parse_lexc(declare + entries)
+        assert strings(ast) == strings(first) == {("a+N", "a%^T")}
+        assert [e.analysis for e in ast.root] == \
+            [e.analysis for e in first.root]
+        assert len(ast.root[0].surface) == 2
 
 
 def test_contlex_cycle_detection():

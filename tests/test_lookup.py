@@ -232,6 +232,37 @@ def test_trigger_leak_is_an_error():
         lookup.build_pipeline(ast, ruleset)
 
 
+def rendered_relation(pipe):
+    """The generator's pairs, each side the texts of its symbols."""
+    paths = fst.enumerate_paths(pipe.generator, 60, 10**6)
+    assert not paths.truncated
+    texts = pipe.table.resolve
+    return {(tuple(map(texts, i)), tuple(map(texts, o)))
+            for i, o in paths.pairs}
+
+
+def test_every_order_of_the_lexicon_files_gives_one_relation(
+        fixture_sources):
+    roots, affixes = fixture_sources["lexc"]
+    usual, swapped = (
+        rendered_relation(lookup.load_pipeline(texts, fixture_sources["twol"]))
+        for texts in ([roots, affixes], [affixes, roots]))
+    assert usual == swapped
+    assert len(usual) > 10
+
+
+def test_a_multichar_declared_in_a_later_file_is_one_symbol():
+    """The lexicon uses ^ before a later file declares %^: in both orders
+    the entry reads the one declared symbol, which leaks when the rule
+    alphabet lets it surface and is deleted when it says ^:0."""
+    texts = ["LEXICON Root\na^b # ;\n", "Multichar_Symbols\n%^\n"]
+    for order in (texts, texts[::-1]):
+        with pytest.raises(PipelineError, match=r"to the surface: %\^ "):
+            lookup.load_pipeline(order, "Alphabet\n a b a:b ^ ;\n")
+        pipe = lookup.load_pipeline(order, "Alphabet\n a b a:b ^:0 ;\n")
+        assert lookup.generate(pipe, "a^b") == ["ab", "bb"]
+
+
 def test_load_pipeline_counts_lines_within_each_text(fixture_sources):
     roots, affixes = fixture_sources["lexc"]
     extra = affixes + "LEXICON Extra\nfoo UNDEFINED_X ;\n"

@@ -1,14 +1,20 @@
-"""The assembled generator against brute-force two-level generation.
+"""The assembled generator against brute-force two-level generation and
+against the generator built in stages.
 
 For a random rule set (conftest.random_ruleset) and a lexicon of one to
 three tagged words, the oracle lists every feasible pair string whose
 lexical side is a word, with insertions anywhere, and keeps the surfaces
 of the strings that twol.check_rule accepts for every rule.  The
-generator that lookup.build_pipeline assembles (lexicon, rule domain,
-rule combination, pairs_to_transducer, composition) must give exactly
+generator that lookup.build_pipeline assembles (the lexicon composed
+through the rule DFAs in one product, then minimized) must give exactly
 those surfaces for the word's analysis, up to SLACK symbols longer than
-the word.  On the shipped grammars, the generator that build_pipeline
-minimizes must keep the relation of the build that minimizes nothing.
+the word.  On the same random draws, with compounding added to some
+lexicons, and on the shipped grammars, it must equal arc for arc the
+minimized generator of conftest.reference_apply_rules: the lexicon's
+pair domain, the left fold of intersects with the rules, and a
+composition.  On the shipped grammars, the generator that
+build_pipeline minimizes must also keep the relation of the build that
+minimizes nothing.
 """
 
 import pathlib
@@ -21,7 +27,8 @@ from fstmorph import fst, lexc, lookup, twol
 from fstmorph.errors import PipelineError
 from fstmorph.symbols import EPSILON_ID, SymbolTable
 
-from conftest import chain_lexicon, random_ruleset, read_fixture
+from conftest import (chain_lexicon, random_ruleset, read_fixture,
+                      reference_apply_rules, same_machine)
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent
                        / "bench"))
@@ -78,22 +85,29 @@ def generated_surfaces(pipe, analysis, letters, max_surface):
     return {out for _, out in paths.pairs}
 
 
+def random_grammar(rng):
+    """(rule set, lexicon AST) of a random rule set and a Root lexicon of
+    one to three words over its lexical symbols, each tagged +A or +B
+    on the analysis side only."""
+    ruleset = random_ruleset(rng, num_rules=rng.randint(1, 3))
+    table = ruleset.table
+    lexical = sorted({l for l, _ in ruleset.alphabet.pairs} - {EPSILON_ID})
+    tags = [table.declare_multichar(t).id for t in ("+A", "+B")]
+    words = {tuple(rng.choice(lexical) for _ in range(rng.randint(1, 3)))
+             for _ in range(rng.randint(1, 3))}
+    entries = [lexc.LexEntry(list(w) + [rng.choice(tags)], list(w),
+                             lexc.END) for w in sorted(words)]
+    return ruleset, lexc.LexiconAst({"Root": entries}, table)
+
+
 def test_generator_matches_brute_force_two_level_generation():
     rng = random.Random(3003)
     generated_any = 0
     for _ in range(CASES):
-        ruleset = random_ruleset(rng, num_rules=rng.randint(1, 3))
-        table = ruleset.table
+        ruleset, ast = random_grammar(rng)
         letters = sorted({s for _, s in ruleset.alphabet.pairs} - {EPSILON_ID})
-        lexical = sorted({l for l, _ in ruleset.alphabet.pairs}
-                         - {EPSILON_ID})
-        tags = [table.declare_multichar(t).id for t in ("+A", "+B")]
-        words = {tuple(rng.choice(lexical) for _ in range(rng.randint(1, 3)))
-                 for _ in range(rng.randint(1, 3))}
-        entries = [lexc.LexEntry(list(w) + [rng.choice(tags)], list(w),
-                                 lexc.END) for w in sorted(words)]
+        entries = ast.root
         expected = [oracle_surfaces(ruleset, e.surface) for e in entries]
-        ast = lexc.LexiconAst({"Root": entries}, table)
         try:
             pipe = lookup.build_pipeline(ast, ruleset)
         except PipelineError:  # the generator relation is empty
@@ -105,6 +119,35 @@ def test_generator_matches_brute_force_two_level_generation():
             assert got == surfaces, (ruleset, e.analysis)
             generated_any += bool(got)
     assert generated_any > CASES  # most words have some surface
+
+
+def assert_generator_is_the_reference(ast, ruleset, name=None):
+    """build_pipeline's generator is the minimized staged build, or both
+    are empty."""
+    want = fst.encoded_minimize(
+        reference_apply_rules(lexc.compile_lexicon(ast), ruleset))
+    try:
+        got = lookup.build_pipeline(ast, ruleset).generator
+    except PipelineError:  # the generator relation is empty
+        assert fst.is_empty(want), name
+        return False
+    assert same_machine(got, want), name
+    return True
+
+
+def test_generator_is_the_reference_build_random():
+    """On the brute-force test's draws, with a +C entry back to Root, a
+    compound boundary written as nothing, in half the lexicons."""
+    rng = random.Random(3003)
+    kinds = {"cyclic": 0, "nonempty": 0}
+    for _ in range(CASES):
+        ruleset, ast = random_grammar(rng)
+        if rng.random() < 0.5:
+            cmp = ast.table.declare_multichar("+C").id
+            ast.root.append(lexc.LexEntry([cmp], [], "Root"))
+            kinds["cyclic"] += 1
+        kinds["nonempty"] += assert_generator_is_the_reference(ast, ruleset)
+    assert min(kinds.values()) > CASES // 3, kinds
 
 
 def differential_grammars(tmp_path):
@@ -146,3 +189,11 @@ def test_generator_keeps_the_relation_of_the_unminimized_build(tmp_path,
         assert got_paths.truncated == want_paths.truncated \
             == (name == "compounding"), name
         assert len(got_paths.pairs) > 10, name
+
+
+def test_generator_is_the_reference_build_on_the_shipped_grammars(tmp_path):
+    for name, texts, _ in differential_grammars(tmp_path):
+        table = SymbolTable()
+        ast = lexc.parse_lexc([(None, t) for t in texts], table)
+        ruleset = twol.parse_twol(read_fixture("phonology.twol"), table)
+        assert assert_generator_is_the_reference(ast, ruleset, name)

@@ -35,6 +35,17 @@ def test_multichar_content_canonical():
     assert table.resolve(a.id) == "%^V2VV"
 
 
+def test_a_plain_symbol_declared_later_keeps_its_id():
+    table = SymbolTable()
+    plain = table.intern("^")
+    declared = table.declare_multichar("%^")
+    assert declared.id == plain.id and table.is_multichar(plain.id)
+    assert table.content_id("^") == table.content_id("%^") == plain.id
+    assert table.symbol_for("%^").id == table.symbol_for("^").id == plain.id
+    assert [s.id for s in table.tokenize("^%^")] == [plain.id, plain.id]
+    assert len(table) == 2
+
+
 def test_tokenize_longest_match():
     table = SymbolTable()
     table.declare_multichar("+Sg")

@@ -1,7 +1,5 @@
 import hashlib
-import pathlib
 import random
-import sys
 import warnings
 
 import pytest
@@ -10,14 +8,9 @@ from fstmorph import att, fst, lexc, lookup, twol
 from fstmorph.errors import ParseError
 from fstmorph.symbols import EPSILON_ID, SymbolTable
 
-from conftest import (accepts, equivalent_acceptors, random_acceptor,
-                      random_pair_string, random_ruleset, read_fixture,
-                      reference_compile_rule, same_machine)
-
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent
-                       / "bench"))
-
-import inputs  # noqa: E402
+from conftest import (accepts, equivalent_acceptors, random_pair_string,
+                      random_ruleset, read_fixture, reference_compile_rule,
+                      same_machine)
 
 SOURCE = """
 ! tiny rule file exercising the grammar
@@ -284,40 +277,24 @@ def test_both_directions_equals_intersection():
 # ---------------------------------------------------------------------------
 # combination
 
-def assert_combine_is_the_left_fold(ruleset, domains):
-    """combine_rules, with each of domains (None for no domain), equals
-    arc for arc the plain left-to-right intersect fold of the domain, if
-    any, and the compiled rules."""
+def assert_combine_is_the_left_fold(ruleset):
+    """combine_rules equals arc for arc the plain left-to-right intersect
+    fold of the compiled rules."""
     rules = [twol.compile_rule(r, ruleset) for r in ruleset.rules]
-    for domain in domains:
-        machines = rules if domain is None else [domain] + rules
-        expected = machines[0]
-        for m in machines[1:]:
-            expected = fst.intersect(expected, m)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            got = twol.combine_rules(ruleset, domain=domain)
-        assert same_machine(got, expected)
+    expected = rules[0]
+    for m in rules[1:]:
+        expected = fst.intersect(expected, m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = twol.combine_rules(ruleset)
+    assert same_machine(got, expected)
 
 
 def test_combine_is_the_left_fold_random():
     rng = random.Random(47)
     for _ in range(200):
-        rs = random_ruleset(rng, num_rules=rng.randint(1, 7))
-        domain = random_acceptor(rs.table, rs.alphabet.pair_ids(), rng,
-                                 max_states=6, max_arcs=24)
-        assert_combine_is_the_left_fold(rs, [None, domain])
-
-
-def lexicon_domain(ast, ruleset, monkeypatch):
-    """The lexicon domain that apply_rules passes to combine_rules."""
-    domains = []
-    monkeypatch.setattr(twol, "combine_rules",
-                        lambda ruleset, domain:
-                        domains.append(domain) or domain)
-    twol.apply_rules(lexc.compile_lexicon(ast), ruleset)
-    monkeypatch.undo()
-    return domains[0]
+        assert_combine_is_the_left_fold(
+            random_ruleset(rng, num_rules=rng.randint(1, 7)))
 
 
 def parsed_fixture(roots=None, affixes=None, rules=None):
@@ -331,52 +308,33 @@ def parsed_fixture(roots=None, affixes=None, rules=None):
     return ast, twol.parse_twol(rules or read_fixture("phonology.twol"), table)
 
 
-def test_combine_is_the_left_fold_on_the_fixture(monkeypatch):
-    ast, full = parsed_fixture()
-    rs = twol.RuleSet(full.alphabet, full.sets, full.rules[:17])
-    domain = lexicon_domain(ast, rs, monkeypatch)
-    assert_combine_is_the_left_fold(rs, [None, domain])
+def test_combine_is_the_left_fold_on_the_fixture():
+    _, full = parsed_fixture()
+    assert_combine_is_the_left_fold(
+        twol.RuleSet(full.alphabet, full.sets, full.rules[:17]))
 
 
-def test_combine_is_the_left_fold_on_larger_lexicon_domains(tmp_path,
-                                                            monkeypatch):
-    """The lexicon domains of the fixture with compounding (+Cmp back to
-    Root, so the domain is cyclic) and of the seed-1 synthetic grammar,
-    with all 20 rules."""
-    affixes = read_fixture("affixes.lexc")
-    compounding = affixes.replace("LEXICON N_RADIO\n",
-                                  "LEXICON N_RADIO\n+Cmp: Root ;\n")
-    assert compounding != affixes
-    synth = inputs.write_synth_grammar(1, tmp_path).files["roots.lexc"]
-    for roots, affixes in ((None, compounding),
-                           (synth.read_text(encoding="utf-8"), None)):
-        ast, rs = parsed_fixture(roots, affixes)
-        assert len(rs.rules) == 20
-        domain = lexicon_domain(ast, rs, monkeypatch)
-        assert_combine_is_the_left_fold(rs, [domain])
-
-
-def test_a_domain_combine_refines_once(monkeypatch):
-    """With the rule DFAs compiled beforehand, a domain combine on the
-    fixture makes one product of the domain and the 20 rules, and so
-    refines one machine, not one per rule."""
+def test_apply_rules_explores_one_product(monkeypatch):
+    """With the rule DFAs compiled beforehand, apply_rules on the fixture
+    explores one product of the lexicon and the 20 rules, and no
+    machine before or after it."""
     ast, rs = parsed_fixture()
-    domain = lexicon_domain(ast, rs, monkeypatch)
+    lexicon = lexc.compile_lexicon(ast)
     compiled = {id(r): twol.compile_rule(r, rs) for r in rs.rules}
     monkeypatch.setattr(twol, "compile_rule",
                         lambda rule, ruleset: compiled[id(rule)])
-    refined = []
-    minimal = fst._minimal
-    monkeypatch.setattr(fst, "_minimal",
-                        lambda *args: refined.append(args) or minimal(*args))
-    twol.combine_rules(rs, domain=domain)
-    assert len(refined) == 1
+    explored = []
+    explore = fst._explore
+    monkeypatch.setattr(fst, "_explore",
+                        lambda *args: explored.append(args) or explore(*args))
+    twol.apply_rules(lexicon, rs)
+    assert len(explored) == 1
 
 
 def test_a_rule_file_with_no_rules_keeps_its_generator():
     """The fixture lexicon under the fixture's alphabet and no rules: the
-    domain is the combined language as it is, and the generator's AT&T
-    text keeps its pinned SHA-256."""
+    product has no rule DFA, every feasible pair passes, and the
+    generator's AT&T text keeps its pinned SHA-256."""
     rules = read_fixture("phonology.twol")
     ast, rs = parsed_fixture(
         rules=rules[:rules.index("\nRules\n") + len("\nRules\n")])
@@ -420,18 +378,6 @@ def test_empty_ruleset_is_sigma_star():
         assert accepts(combined, pids)
 
 
-def test_pairs_to_transducer():
-    rs = twol.parse_twol("Alphabet\n a:b %^T:0 ;\n")
-    table = rs.table
-    ab = rs.alphabet.pair_id(*pair(rs, "a:b"))
-    t0 = rs.alphabet.pair_id((table.id_of("%^T")), EPSILON_ID)
-    acc = fst.string_acceptor(table, [ab, t0])
-    machine = twol.pairs_to_transducer(acc, table)
-    paths = fst.enumerate_paths(machine, 5, 10)
-    assert {(p[0], p[1]) for p in paths.pairs} == {
-        ((table.id_of("a"), table.id_of("%^T")), (table.id_of("b"),))}
-
-
 def test_bad_escapes_are_located():
     sources = [
         ("Alphabet\n a q%\n ;\n", 2),
@@ -441,6 +387,18 @@ def test_bad_escapes_are_located():
     for source, line in sources:
         with pytest.raises(ParseError, match=rf"^r\.twol:{line}: dangling"):
             twol.parse_twol(source, filename="r.twol")
+
+
+def test_a_pair_with_two_colons_is_located():
+    sources = [
+        ("Alphabet\n a b\n a:b:c ;\n", 3),
+        ('Alphabet\n a b a:b ;\nRules\n"R"\n a:b:c => _ ;\n', 5),
+        ('Alphabet\n a b a:b ;\nRules\n"R" a:b => _\n a:b:c ;\n', 5),
+    ]
+    for source, line in sources:
+        with pytest.raises(ParseError,
+                           match=rf"^x\.twol:{line}: more than one ':'"):
+            twol.parse_twol(source, filename="x.twol")
 
 
 def test_lexer_errors_name_their_file():
