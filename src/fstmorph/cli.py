@@ -30,7 +30,6 @@ except ImportError:  # Python 3.12 and later name it _sha2
     from hashlib import sha256
 
 GENERATOR_ATT = "generator.att"
-ANALYZER_ATT = "analyzer.att"  # written before format 2 only
 SYMBOLS_TSV = "symbols.tsv"
 GLOSSES_TSV = "glosses.tsv"
 ORTHOGRAPHY_TSV = "orthography.tsv"
@@ -57,23 +56,22 @@ def _build(args):
             _read(args.relax), table, args.relax)
     pipeline = lookup.build_pipeline(ast, ruleset, args.mode, orthography,
                                      relax_spec)
-    return ast, pipeline, orthography
+    return ast, pipeline
 
 
 def cmd_compile(args):
-    _, pipeline, orthography = _build(args)
+    _, pipeline = _build(args)
     table = pipeline.table
     glosses = "\n".join(f"{lemma}\t{pos}\t{g}" for (lemma, pos), gs
                         in sorted(pipeline.glosses.items()) for g in gs)
     texts = {GENERATOR_ATT: att.export_att(pipeline.generator, table),
              SYMBOLS_TSV: att.export_symbols(table),
              GLOSSES_TSV: glosses + "\n"}
-    if orthography:
+    if pipeline.orthography:
         texts[ORTHOGRAPHY_TSV] = lookup.format_mapping_file(
-            [(k, [v]) for k, v in orthography], table)
+            pipeline.orthography, table)
     if pipeline.relax:
-        texts[RELAX_TSV] = lookup.format_mapping_file(pipeline.relax.items(),
-                                                      table)
+        texts[RELAX_TSV] = lookup.format_mapping_file(pipeline.relax, table)
     digests = {name: sha256(text.encode("utf-8")).hexdigest()
                for name, text in texts.items()}
     texts[MANIFEST_JSON] = json.dumps(
@@ -88,14 +86,13 @@ def cmd_compile(args):
 
 
 def _artifact_texts(base, manifest):
-    """{name: text} of each file that manifest.json lists.  Format 2 maps
-    each name to the SHA-256 of its bytes and refuses a file that is
-    missing or differs; before it, with no format key, names stood alone."""
+    """{name: text} of each file that manifest.json lists.  The manifest
+    maps each name to the SHA-256 of its bytes; a file that is missing or
+    differs, or a manifest of another format, is refused.  A directory
+    from before format 2 has no format key: compile its sources again."""
     where = base / MANIFEST_JSON
     manifest = manifest if isinstance(manifest, dict) else {}
     form, files = manifest.get("format"), manifest.get("files")
-    if form is None and isinstance(files, list):
-        return {name: _read(base / name) for name in files}
     if form != FORMAT:
         raise FstMorphError(f"{where}: unknown format {form!r}, expected "
                             f"{FORMAT}")
@@ -116,8 +113,8 @@ def _artifact_texts(base, manifest):
 
 
 def _load_artifacts(artifact_dir):
-    """The pipeline of an artifact directory; its analyzer is derived, or
-    read from analyzer.att in a directory from before format 2."""
+    """The pipeline of an artifact directory: the same five fields that
+    compile built in memory, its analyzers derived from them on use."""
     base = pathlib.Path(artifact_dir)
     where = base / MANIFEST_JSON
     try:
@@ -131,14 +128,11 @@ def _load_artifacts(artifact_dir):
                                str(base / GENERATOR_ATT))
 
     def read_map(name, parse):
-        if name in texts:
-            return parse(texts[name], table, str(base / name))
+        if name not in texts:
+            return {}
+        return parse(texts[name], table, str(base / name))
 
     orthography = read_map(ORTHOGRAPHY_TSV, lookup.parse_orthography_file)
-    analyzer = (att.import_att(texts[ANALYZER_ATT], table,
-                               str(base / ANALYZER_ATT))
-                if ANALYZER_ATT in texts
-                else lookup.analyzer_of(generator, orthography))
     rows = {}
     for lineno, line in enumerate(texts.get(GLOSSES_TSV, "").splitlines(),
                                   1):
@@ -150,8 +144,8 @@ def _load_artifacts(artifact_dir):
                              filename=str(base / GLOSSES_TSV), line=lineno)
         lemma, pos, gloss = fields
         rows.setdefault((lemma, pos), []).append(gloss)
-    relax = read_map(RELAX_TSV, lookup.parse_mapping_file)
-    return lookup.Pipeline(table, generator, analyzer, dict(relax or ()),
+    return lookup.Pipeline(table, generator, orthography,
+                           read_map(RELAX_TSV, lookup.parse_mapping_file),
                            rows)
 
 
@@ -179,7 +173,7 @@ def cmd_lookup(args):
 
 
 def cmd_test(args):
-    _, pipeline, _ = _build(args)
+    _, pipeline = _build(args)
     cases = testkit.parse_suite(_read(args.suite), filename=args.suite)
     report = testkit.run_suite(pipeline, cases, args.direction)
     sys.stdout.write(report.to_json_lines() if args.json
@@ -188,7 +182,7 @@ def cmd_test(args):
 
 
 def cmd_stats(args):
-    ast, pipeline, _ = _build(args)
+    ast, pipeline = _build(args)
     stats = testkit.coverage_stats(ast, pipeline, max_len=args.max_len,
                                    max_count=args.max_count)
     if args.json:

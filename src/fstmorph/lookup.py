@@ -9,9 +9,10 @@ modes are supported:
 * normative: the generator's surface side is relabelled by the
   orthography map, so no pedagogical-only symbol ever surfaces.
 
-Each map relabels the arcs of one side of a machine (fst.relabel), and
-analyzer_of derives the analyzer from the generator and the orthography
-map, so an artifact directory stores only those two.
+Each map relabels the arcs of one side of a machine (fst.relabel).  A
+Pipeline holds what an artifact directory stores: the generator, the
+orthography and relax maps, and the glosses.  Its analyzer and relaxed
+analyzer are derived from those on first use.
 
 A spell-relax map, when configured, lets analysis fall back to
 orthographic variants; such readings carry relaxed=True.
@@ -20,6 +21,7 @@ orthographic variants; such readings carry relaxed=True.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import fst, lexc, twol
 from .errors import FstMorphError, PipelineError, SymbolError
@@ -40,33 +42,31 @@ class Analysis:
 
 @dataclass
 class Pipeline:
+    """What an artifact directory stores, and the two analyzers derived
+    from it, each built on first use: compile, generation and cold starts
+    skip them."""
     table: SymbolTable
     generator: fst.Transducer
-    analyzer: fst.Transducer
+    orthography: dict = field(default_factory=dict)  # {ped. id: [norm. id]}
     relax: dict = field(default_factory=dict)  # {strict id: [variant ids]}
     glosses: dict = field(default_factory=dict)  # as lexc.extract_glosses
-    _relaxed_analyzer: fst.Transducer = field(default=None, init=False,
-                                              repr=False, compare=False)
 
+    @cached_property
+    def analyzer(self) -> fst.Transducer:
+        """The inverted generator, also reading the normative spelling of
+        each symbol that the orthography maps: no arc of a normative
+        generator writes one."""
+        analyzer = fst.invert(self.generator)
+        if self.orthography:
+            analyzer = fst.relabel(analyzer, self.orthography, "input",
+                                   keep=True)
+        return analyzer
+
+    @cached_property
     def relaxed_analyzer(self) -> fst.Transducer:
         """The analyzer with its input side relabelled by the relax map,
-        the strict arcs kept, so that it also reads each variant.  Built on
-        the first relaxed lookup and kept: compile and cold starts skip it."""
-        if self._relaxed_analyzer is None:
-            self._relaxed_analyzer = fst.relabel(self.analyzer, self.relax,
-                                                 "input", keep=True)
-        return self._relaxed_analyzer
-
-
-def analyzer_of(generator, orthography=None) -> fst.Transducer:
-    """The inverted generator, also reading the normative spelling of each
-    symbol that orthography, a list of (pedagogical id, normative id),
-    maps: no arc of a normative generator writes one."""
-    analyzer = fst.invert(generator)
-    if orthography:
-        analyzer = fst.relabel(analyzer, {k: [v] for k, v in orthography},
-                               "input", keep=True)
-    return analyzer
+        the strict arcs kept, so that it also reads each variant."""
+        return fst.relabel(self.analyzer, self.relax, "input", keep=True)
 
 
 def _check_leaks(generator, table):
@@ -85,9 +85,9 @@ def build_pipeline(lexicon_ast: lexc.LexiconAst, ruleset: twol.RuleSet,
                    relax_spec=None) -> Pipeline:
     """Assemble generator and analyzer from parsed lexicon and rules.
 
-    orthography: list of (pedagogical id, normative id); required in
-    normative mode, used for accept-both analysis in pedagogical mode.
-    relax_spec: list of (strict id, [variant ids]) or None.
+    orthography: {pedagogical id: [normative id]}; required in normative
+    mode, used for accept-both analysis in pedagogical mode.
+    relax_spec: {strict id: [variant ids]} or None.
     """
     if mode not in MODES:
         raise FstMorphError(f"unknown mode {mode!r}")
@@ -108,11 +108,9 @@ def build_pipeline(lexicon_ast: lexc.LexiconAst, ruleset: twol.RuleSet,
         if not orthography:
             raise FstMorphError("normative mode requires an orthography "
                                 "mapping")
-        generator = fst.relabel(generator, {k: [v] for k, v in orthography},
-                                "output")
+        generator = fst.relabel(generator, orthography, "output")
     generator = fst.encoded_minimize(generator)
-    return Pipeline(table, generator, analyzer_of(generator, orthography),
-                    dict(relax_spec or ()),
+    return Pipeline(table, generator, orthography or {}, relax_spec or {},
                     lexc.extract_glosses(lexicon_ast))
 
 
@@ -152,7 +150,7 @@ def analyze(pipeline: Pipeline, surface: str, max_count: int = 100) -> list:
     if not pipeline.relax:
         return []
     return _analyses(pipeline, fst.lookup_paths(
-        pipeline.relaxed_analyzer(), ids, max_count), True)
+        pipeline.relaxed_analyzer, ids, max_count), True)
 
 
 def load_pipeline(lexc_texts, twol_text, mode: str = "pedagogical",
@@ -193,20 +191,20 @@ def _mapping_rows(text, table, filename):
 
 def parse_mapping_file(text, table, filename=None):
     """Two-column TSV of symbol → variant; '0' in column 2 means the
-    symbol may be absent.  Returns list of (symbol id, [variant ids])."""
+    symbol may be absent.  Returns {symbol id: [variant ids]}."""
     rows = {}
     for _, key, variant in _mapping_rows(text, table, filename):
         rows.setdefault(key, []).append(variant)
-    return list(rows.items())
+    return rows
 
 
 def parse_orthography_file(text, table, filename=None):
     """A mapping file read as pedagogical → normative spelling, one row
-    per pedagogical symbol.  Returns list of (pedagogical id, normative
-    id).  A second row for one symbol, or a symbol that is both a
+    per pedagogical symbol.  Returns {pedagogical id: [normative id]}.
+    A second row for one symbol, or a symbol that is both a
     normative spelling and a pedagogical key, is an error located at the
     later of the two rows."""
-    mapping, line_of, normative = [], {}, {}
+    mapping, line_of, normative = {}, {}, {}
     for lineno, key, variant in _mapping_rows(text, table, filename):
         where = f"{filename or '<mapping>'}:{lineno}"
         if key in line_of:
@@ -221,7 +219,7 @@ def parse_orthography_file(text, table, filename=None):
                     f"{where}: normative symbol {table.resolve(sym)!r} is "
                     "also a pedagogical key (on line "
                     f"{min(line_of[sym], normative[sym])})")
-        mapping.append((key, variant))
+        mapping[key] = [variant]
     return mapping
 
 
@@ -235,6 +233,6 @@ def format_mapping_file(spec, table) -> str:
         return ("%" + text if text in ("0", "%") or text.startswith("#")
                 else text)
 
-    rows = sorted((cell(k), cell(v)) for k, variants in spec
+    rows = sorted((cell(k), cell(v)) for k, variants in spec.items()
                   for v in variants)
     return "".join(f"{k}\t{v}\n" for k, v in rows)

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from fstmorph import cli, lookup, testkit
+from fstmorph import cli, fst, testkit
 
 from conftest import FIXTURE_DIR, LONG_ROOT, long_root_roots
 
@@ -115,15 +115,11 @@ ANALYZER_DIGESTS = {
 }
 
 
-def exported_analyzer(out, capsys):
+def analyzer_digest(out, capsys):
     capsys.readouterr()
     assert cli.main(["export-att", str(out), "--which", "analyzer"]) == 0
-    return capsys.readouterr().out
-
-
-def analyzer_digest(out, capsys):
     return hashlib.sha256(
-        exported_analyzer(out, capsys).encode("utf-8")).hexdigest()
+        capsys.readouterr().out.encode("utf-8")).hexdigest()
 
 
 def synth_args(tmp_path):
@@ -193,50 +189,25 @@ def rewrite_artifact(directory, name, text):
     path.write_text(json.dumps(manifest))
 
 
-def test_a_manifest_from_before_still_loads(artifacts, tmp_path, capsys,
-                                            monkeypatch):
-    """A directory from before format 2 has no format key and lists its
-    files without digests.  It holds analyzer.att and no orthography.tsv
-    (some also recorded "strategy": "direct").  It loads by reading
-    analyzer.att, whose arcs alone read the normative spellings, and
-    looks words up as a fresh build does."""
-    old = tmp_path / "old"
-    old.mkdir()
-    files = ["generator.att", "analyzer.att", "symbols.tsv", "glosses.tsv",
-             "relax.tsv"]
-    for name in files[:1] + files[2:]:
-        (old / name).write_bytes((artifacts / name).read_bytes())
-    (old / "analyzer.att").write_text(exported_analyzer(artifacts, capsys),
-                                      encoding="utf-8")
-    (old / "manifest.json").write_text(json.dumps(
-        {"files": files, "mode": "pedagogical", "strategy": "direct"},
-        indent=2, sort_keys=True) + "\n")
-    for direction, words in [
-            ("down", "algg+N+Sg+Loc+PxSg1\nveʹrdd+N+Pl+Gen\nnope+N\n"),
-            ("up", "aalǥ\nviirdi\nkueʹtt\nkuẹʹtt\nzzzz\n")]:
-        outputs = []
-        for out in (artifacts, old):
-            assert run(["lookup", str(out), "--direction", direction],
-                       words, monkeypatch) == 0
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
-        assert outputs[0].count("\t+?") == 1, outputs[0]
-    (reading,) = lookup.analyze(cli._load_artifacts(old), "kueʹtt")
-    assert not reading.relaxed  # read strictly, through analyzer.att
-
-
 @pytest.mark.parametrize("damage, message", [
     ("format", "manifest.json: unknown format 3, expected 2"),
     ("missing", "orthography.tsv: listed in "),
     ("digest", "generator.att: SHA-256 differs from the one "),
+    ("before-format-2", "manifest.json: unknown format None, expected 2"),
 ])
 def test_a_damaged_directory_is_refused(artifacts, tmp_path, capsys,
                                         monkeypatch, damage, message):
+    """A directory from before format 2, whose manifest has no format key
+    and lists its files without digests, is refused as well: compile its
+    sources again."""
     broken = copy_dir(artifacts, tmp_path / "broken")
+    manifest = json.loads((broken / "manifest.json").read_text())
     if damage == "format":
-        manifest = json.loads((broken / "manifest.json").read_text())
         (broken / "manifest.json").write_text(
             json.dumps(dict(manifest, format=3)))
+    elif damage == "before-format-2":
+        (broken / "manifest.json").write_text(json.dumps(
+            {"files": sorted(manifest["files"]), "mode": "pedagogical"}))
     elif damage == "missing":
         (broken / "orthography.tsv").unlink()
     else:
@@ -321,6 +292,43 @@ def test_lookup_up_relaxed(artifacts, capsys, monkeypatch):
     code = run(["lookup", str(artifacts)], "viirdi\n", monkeypatch)
     assert code == 0
     assert capsys.readouterr().out == "viirdi\tveʹrdd+N+Pl+Gen\n"
+
+
+def test_an_analyzer_is_built_once_on_the_first_analysis(tmp_path, capsys,
+                                                        monkeypatch):
+    """compile and generation build no analyzer.  A lookup run inverts
+    the generator once, and relabels the input side once for the
+    accept-both analyzer and once more for the relaxed one, only when a
+    word needs it."""
+    calls = []
+    invert, relabel = fst.invert, fst.relabel
+
+    def counted_invert(machine):
+        calls.append("invert")
+        return invert(machine)
+
+    def counted_relabel(machine, mapping, side, keep=False):
+        calls.append(f"relabel {side}")
+        return relabel(machine, mapping, side, keep)
+
+    monkeypatch.setattr(fst, "invert", counted_invert)
+    monkeypatch.setattr(fst, "relabel", counted_relabel)
+    for mode in ("pedagogical", "normative"):
+        out = tmp_path / mode
+        assert cli.main(["compile", *full_args(), "--mode", mode,
+                         "--out", str(out)]) == 0
+        assert "invert" not in calls and "relabel input" not in calls
+    out = tmp_path / "pedagogical"
+    for direction, words, want in [
+            ("down", "algg+N+Sg+Gen\nradio+N+Sg+Nom\n", []),
+            ("up", "radio\naalǥ\nzzzz\n", ["invert", "relabel input"]),
+            ("up", "radio\nviirdi\naalǥ\nviirdi\n",
+             ["invert", "relabel input", "relabel input"])]:
+        calls.clear()
+        assert run(["lookup", str(out), "--direction", direction], words,
+                   monkeypatch) == 0
+        assert calls == want, direction
+    assert "viirdi\tveʹrdd+N+Pl+Gen\n" in capsys.readouterr().out
 
 
 def test_lookup_reads_a_word_of_any_length(tmp_path, capsys, monkeypatch):

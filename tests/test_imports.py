@@ -1,9 +1,11 @@
-"""Every name a module of the package imports is read in that module, and
-no module but fst reads a private name of another, apart from the
-allowed ones."""
+"""Every name a module of the package imports is read in that module, no
+module but fst reads a private name of another, apart from the allowed
+ones, and the package imports nothing from outside the standard
+library."""
 
 import ast
 import pathlib
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "fstmorph"
 
@@ -61,3 +63,31 @@ def test_no_module_reads_another_modules_private_names():
         if path.name != "fst.py":
             found |= private_reads(path)
     assert found - PRIVATE_READS_ALLOWED == set()
+
+
+# cli.py imports the built-in _sha256 when it is there and falls back to
+# hashlib: Python 3.12 and later name the module _sha2.
+OUTSIDE_IMPORTS_ALLOWED = {("cli.py", "_sha256")}
+
+
+def outside_imports(path):
+    """(file, top-level module) of each absolute import, __future__ apart,
+    of a module that is not in the standard library."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found.update((path.name, name.split(".")[0]) for name in names)
+    return {(f, m) for f, m in found
+            if m != "__future__" and m not in sys.stdlib_module_names}
+
+
+def test_the_package_imports_only_the_standard_library():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found |= outside_imports(path)
+    assert found - OUTSIDE_IMPORTS_ALLOWED == set()

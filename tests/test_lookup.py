@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from fstmorph import fst, lexc, lookup, twol
@@ -207,7 +209,7 @@ def test_mapping_file_round_trip():
     table = SymbolTable()
     zero, hash_, a = (table.intern(c).id for c in ("0", "#", "a"))
     table.declare_multichar("%^X")
-    spec = [(hash_, [zero, EPSILON_ID]), (a, [table.id_of("%^X")])]
+    spec = {hash_: [zero, EPSILON_ID], a: [table.id_of("%^X")]}
     text = lookup.format_mapping_file(spec, table)
     assert text == "%#\t%0\n%#\t0\na\t%^X\n"
     assert lookup.parse_mapping_file(text, table) == spec
@@ -251,6 +253,34 @@ def test_every_order_of_the_lexicon_files_gives_one_relation(
     assert len(usual) > 10
 
 
+def cut(lines, starts):
+    """The texts of lines cut before each of the sorted line indices."""
+    bounds = [0, *starts, len(lines)]
+    return ["".join(lines[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def test_random_splits_of_the_lexicon_give_one_relation(fixture_sources):
+    """The fixture's lexc text cut into two to five files at random line
+    boundaries, in order, and at random LEXICON and Multichar_Symbols
+    lines, in a random order, reads as the usual two files do."""
+    roots, affixes = fixture_sources["lexc"]
+    rules = fixture_sources["twol"]
+    usual = rendered_relation(lookup.load_pipeline([roots, affixes], rules))
+    lines = (roots + affixes).splitlines(keepends=True)
+    sections = [k for k, line in enumerate(lines) if k and line.split()[:1]
+                in (["LEXICON"], ["Multichar_Symbols"])]
+    rng = random.Random(1616)
+    for _ in range(10):
+        texts = cut(lines, sorted(rng.sample(range(1, len(lines)),
+                                             rng.randint(1, 4))))
+        assert rendered_relation(lookup.load_pipeline(texts, rules)) == \
+            usual, texts
+        texts = cut(lines, sorted(rng.sample(sections, rng.randint(1, 4))))
+        rng.shuffle(texts)
+        assert rendered_relation(lookup.load_pipeline(texts, rules)) == \
+            usual, texts
+
+
 def test_a_multichar_declared_in_a_later_file_is_one_symbol():
     """The lexicon uses ^ before a later file declares %^: in both orders
     the entry reads the one declared symbol, which leaks when the rule
@@ -278,7 +308,7 @@ def test_percent_symbol_in_lexicon_and_mapping():
     assert lookup.generate(pipe, "pct%%") == ["pct%"]
     table = pipe.table
     spec = lookup.parse_mapping_file("t\t%%\n", table)
-    assert spec == [(table.id_of("t"), [table.id_of("%")])]
+    assert spec == {table.id_of("t"): [table.id_of("%")]}
     text = lookup.format_mapping_file(spec, table)
     assert lookup.parse_mapping_file(text, table) == spec
 

@@ -146,7 +146,7 @@ def test_walk_matches_oracle_on_every_path(request, which):
 def test_walk_matches_oracle_on_misspellings(pipeline):
     words = misspellings(pipeline)
     assert len(words) > 10
-    walk = partial(fst.lookup_paths, pipeline.relaxed_analyzer())
+    walk = partial(fst.lookup_paths, pipeline.relaxed_analyzer)
     for ids in words:
         assert_agree(walk, partial(relaxed_compose_lookup, pipeline), ids,
                      "relaxed")
@@ -158,7 +158,7 @@ def test_walk_matches_oracle_on_random_strings(pipeline):
     cases = [
         (pipeline.generator, partial(compose_lookup, pipeline.generator)),
         (pipeline.analyzer, partial(compose_lookup, pipeline.analyzer)),
-        (pipeline.relaxed_analyzer(),
+        (pipeline.relaxed_analyzer,
          partial(relaxed_compose_lookup, pipeline)),
     ]
     for machine, oracle in cases:
@@ -174,15 +174,15 @@ def test_relaxed_analyzer_is_built_once_on_first_need(fixture_sources):
         fixture_sources["lexc"], fixture_sources["twol"],
         orthography_text=fixture_sources["orthography"],
         relax_text=fixture_sources["relax"])
+    assert "analyzer" not in vars(pipe)  # cached_property: built on use
     assert pipe.analyzer._by_input is None  # the index is lazy as well
     lookup.analyze(pipe, "algg")
     assert pipe.analyzer._by_input is not None
-    assert pipe._relaxed_analyzer is None
+    assert "relaxed_analyzer" not in vars(pipe)
     lookup.analyze(pipe, "alg")
-    built = pipe._relaxed_analyzer
-    assert built is not None
+    built = vars(pipe)["relaxed_analyzer"]
     lookup.analyze(pipe, "kuett")
-    assert pipe._relaxed_analyzer is built
+    assert pipe.relaxed_analyzer is built
 
 
 # ---------------------------------------------------------------------------
@@ -207,29 +207,50 @@ def both_pipelines(files, mode, out):
     return mem, cli._load_artifacts(out)
 
 
-def test_artifacts_answer_like_the_in_memory_pipeline(tmp_path, capsys):
+@pytest.fixture(scope="module")
+def pipeline_pairs(tmp_path_factory):
+    """(grammar, mode, in-memory pipeline, loaded pipeline) in both modes,
+    on the fixture and on the benchmark's seed-1 synthetic grammar."""
+    tmp_path = tmp_path_factory.mktemp("pairs")
+    fixture = {name: FIXTURE_DIR / name for name in inputs.SOURCE_FILES}
+    synthetic = inputs.write_synth_grammar(1, tmp_path / "synth").files
+    return [(grammar, mode,
+             *both_pipelines(files, mode, tmp_path / f"{grammar}-{mode}"))
+            for grammar, files in [("fixture", fixture),
+                                   ("synth", synthetic)]
+            for mode in lookup.MODES]
+
+
+def test_a_loaded_pipeline_is_the_in_memory_one_field_for_field(
+        pipeline_pairs):
+    for grammar, mode, mem, disk in pipeline_pairs:
+        where = (grammar, mode)
+        for name in ("start", "finals", "arcs"):
+            assert getattr(disk.generator, name) == \
+                getattr(mem.generator, name), where
+        assert disk.orthography == mem.orthography != {}, where
+        assert disk.relax == mem.relax != {}, where
+        assert disk.glosses == mem.glosses != {}, where
+        assert [s.text for s in disk.table.symbols()] == \
+            [s.text for s in mem.table.symbols()], where
+
+
+def test_artifacts_answer_like_the_in_memory_pipeline(pipeline_pairs):
     """In both modes, on the fixture and on the benchmark's seed-1
     synthetic grammar: every analysis, surface and one-substitution
     misspelling looks up the same in memory and from the artifacts."""
-    fixture = {name: FIXTURE_DIR / name for name in inputs.SOURCE_FILES}
-    synthetic = inputs.write_synth_grammar(1, tmp_path / "synth").files
-    for grammar, files in [("fixture", fixture), ("synth", synthetic)]:
-        for mode in lookup.MODES:
-            mem, disk = both_pipelines(files, mode,
-                                       tmp_path / f"{grammar}-{mode}")
-            capsys.readouterr()
-            assert disk.relax == mem.relax
-            for ids in input_strings(mem.generator):
-                analysis = mem.table.render(ids)
-                assert lookup.generate(disk, analysis) == \
-                    lookup.generate(mem, analysis), (grammar, mode)
-            surfaces = (input_strings(mem.analyzer)
-                        + misspellings(mem))
-            relaxed = 0
-            for ids in surfaces:
-                surface = mem.table.render(ids)
-                readings = lookup.analyze(disk, surface)
-                assert readings == lookup.analyze(mem, surface), \
-                    (grammar, mode, surface)
-                relaxed += any(a.relaxed for a in readings)
-            assert relaxed > 10, (grammar, mode)
+    for grammar, mode, mem, disk in pipeline_pairs:
+        for ids in input_strings(mem.generator):
+            analysis = mem.table.render(ids)
+            assert lookup.generate(disk, analysis) == \
+                lookup.generate(mem, analysis), (grammar, mode)
+        surfaces = (input_strings(mem.analyzer)
+                    + misspellings(mem))
+        relaxed = 0
+        for ids in surfaces:
+            surface = mem.table.render(ids)
+            readings = lookup.analyze(disk, surface)
+            assert readings == lookup.analyze(mem, surface), \
+                (grammar, mode, surface)
+            relaxed += any(a.relaxed for a in readings)
+        assert relaxed > 10, (grammar, mode)

@@ -14,9 +14,13 @@ minimized generator of conftest.reference_apply_rules: the lexicon's
 pair domain, the left fold of intersects with the rules, and a
 composition.  On the shipped grammars, the generator that
 build_pipeline minimizes must also keep the relation of the build that
-minimizes nothing.
+minimizes nothing.  With random orthography and relax maps, the normative
+generator must give the oracle's surfaces rewritten by the orthography
+map, and analysis must read every spelling the two maps allow back to
+its word, flagged relaxed only when no word generates it strictly.
 """
 
+import itertools
 import pathlib
 import random
 import sys
@@ -37,6 +41,7 @@ import inputs  # noqa: E402
 
 SLACK = 2
 CASES = 300
+MAP_CASES = 100  # draws of each map test, about 1 s each
 
 
 def pair_strings(ruleset, word, max_surface):
@@ -63,9 +68,13 @@ def pair_strings(ruleset, word, max_surface):
     return found
 
 
-def oracle_surfaces(ruleset, word):
+def oracle_surfaces(ruleset, word, max_surface=None):
+    """The surfaces of word that every rule accepts, of at most
+    max_surface symbols (by default SLACK more than the word)."""
+    if max_surface is None:
+        max_surface = len(word) + SLACK
     return {tuple(s for _, s in pairs if s != EPSILON_ID)
-            for pairs in pair_strings(ruleset, word, len(word) + SLACK)
+            for pairs in pair_strings(ruleset, word, max_surface)
             if all(twol.check_rule(r, pairs, ruleset) for r in ruleset.rules)}
 
 
@@ -179,8 +188,7 @@ def test_generator_keeps_the_relation_of_the_unminimized_build(tmp_path,
             read_fixture("orthography.tsv"), table)
         want = twol.apply_rules(chain_lexicon(ast), ruleset)
         if mode == "normative":
-            want = fst.relabel(want, {k: [v] for k, v in orthography},
-                               "output")
+            want = fst.relabel(want, orthography, "output")
         got = lookup.build_pipeline(ast, ruleset, mode, orthography).generator
         assert got.num_states < want.num_states, name
         want_paths = fst.enumerate_paths(want, max_len, 10**6)
@@ -197,3 +205,124 @@ def test_generator_is_the_reference_build_on_the_shipped_grammars(tmp_path):
         ast = lexc.parse_lexc([(None, t) for t in texts], table)
         ruleset = twol.parse_twol(read_fixture("phonology.twol"), table)
         assert assert_generator_is_the_reference(ast, ruleset, name)
+
+
+# ---------------------------------------------------------------------------
+# the orthography and relax maps
+
+
+def letter_ids(ruleset):
+    return sorted({x for pair in ruleset.alphabet.pairs for x in pair}
+                  - {EPSILON_ID})
+
+
+def random_orthography(rng, letters):
+    """{pedagogical id: [normative id]} as parse_orthography_file reads
+    one: one row per key, and no normative letter is also a key."""
+    keys = rng.sample(letters, rng.randint(1, len(letters) - 1))
+    normative = [x for x in letters if x not in keys]
+    return {k: [rng.choice(normative)] for k in keys}
+
+
+def random_relax(rng, ruleset, orthography):
+    """{strict id: [variant ids]}, EPSILON_ID (a '0' row) among them, but
+    not for a letter that an insertion pair writes, in either spelling:
+    that would put a cycle of epsilon-input arcs into the relaxed
+    analyzer, whose walk is exponential in the length of such runs
+    (ROADMAP item 9)."""
+    letters = letter_ids(ruleset)
+    inserted = {s for l, s in ruleset.alphabet.pairs if l == EPSILON_ID}
+    inserted |= {v for k in inserted for v in orthography.get(k, ())}
+
+    def variants(k):
+        pool = [x for x in letters if x != k]
+        return pool if k in inserted else pool + [EPSILON_ID]
+
+    return {k: rng.sample(variants(k), rng.randint(1, 2))
+            for k in rng.sample(letters, rng.randint(1, len(letters)))}
+
+
+def spellings(surface, choices):
+    """Every string read with one of choices(c) in place of each symbol c
+    of surface, the deletions dropped."""
+    return {tuple(x for x in combo if x != EPSILON_ID)
+            for combo in itertools.product(*map(choices, surface))}
+
+
+def test_normative_generator_is_the_oracle_rewritten_by_the_map():
+    rng = random.Random(3004)
+    generated_any = 0
+    for _ in range(MAP_CASES):
+        ruleset, ast = random_grammar(rng)
+        letters = letter_ids(ruleset)
+        orthography = random_orthography(rng, letters)
+        expected = [{tuple(orthography.get(c, [c])[0] for c in surface)
+                     for surface in oracle_surfaces(ruleset, e.surface)}
+                    for e in ast.root]
+        try:
+            pipe = lookup.build_pipeline(ast, ruleset, "normative",
+                                         orthography)
+        except PipelineError:  # the generator relation is empty
+            assert not any(expected), ruleset
+            continue
+        for e, surfaces in zip(ast.root, expected):
+            got = generated_surfaces(pipe, e.analysis, letters,
+                                     len(e.surface) + SLACK)
+            assert got == surfaces, (ruleset, orthography, e.analysis)
+            generated_any += bool(got)
+    assert generated_any > MAP_CASES
+
+
+def test_relaxed_analysis_reads_every_variant_back_to_the_word():
+    """In pedagogical mode, with a random orthography in most draws, the
+    analyzer reads each oracle surface with any of its letters in
+    either spelling.  Every variant that the relax map allows on top of
+    those reads back to the word, flagged relaxed, unless some word
+    generates it strictly: then it gets exactly the strict readings."""
+    rng = random.Random(3005)
+    seen = {"strict": 0, "relaxed": 0, "normative": 0}
+    for _ in range(MAP_CASES):
+        ruleset, ast = random_grammar(rng)
+        table = ruleset.table
+        letters = letter_ids(ruleset)
+        orthography = (random_orthography(rng, letters)
+                       if rng.random() < 0.75 else {})
+        relax = random_relax(rng, ruleset, orthography)
+        try:
+            pipe = lookup.build_pipeline(ast, ruleset, "pedagogical",
+                                         orthography, relax)
+        except PipelineError:  # the generator relation is empty
+            continue
+
+        def strict_choices(c):
+            return [c, *orthography.get(c, ())]
+
+        def relaxed_choices(c):
+            return {v for x in strict_choices(c)
+                    for v in (x, *relax.get(x, ()))}
+
+        longest = max(len(e.surface) for e in ast.root) + SLACK
+        strict, allowed = {}, {}
+        for e in ast.root:
+            analysis = table.render(e.analysis)
+            for surface in oracle_surfaces(ruleset, e.surface, longest):
+                for t in spellings(surface, strict_choices):
+                    strict.setdefault(t, set()).add(analysis)
+            for surface in oracle_surfaces(ruleset, e.surface):
+                for t in spellings(surface, relaxed_choices):
+                    allowed.setdefault(t, set()).add(analysis)
+        for t, words in sorted(allowed.items()):
+            readings = lookup.analyze(pipe, table.render(t))
+            texts = {a.text for a in readings}
+            where = (ruleset, orthography, relax, t)
+            if t in strict:
+                assert texts == strict[t], where
+                assert not any(a.relaxed for a in readings), where
+                seen["strict"] += 1
+                seen["normative"] += any(
+                    [x] in orthography.values() for x in t)
+            else:
+                assert words <= texts, where
+                assert all(a.relaxed for a in readings), where
+                seen["relaxed"] += 1
+    assert min(seen.values()) > MAP_CASES, seen
