@@ -35,6 +35,8 @@ GLOSSES_TSV = "glosses.tsv"
 ORTHOGRAPHY_TSV = "orthography.tsv"
 RELAX_TSV = "relax.tsv"
 MANIFEST_JSON = "manifest.json"
+ARTIFACT_FILES = {GENERATOR_ATT, SYMBOLS_TSV, GLOSSES_TSV, ORTHOGRAPHY_TSV,
+                  RELAX_TSV}
 FORMAT = 2
 
 
@@ -88,8 +90,10 @@ def cmd_compile(args):
 def _artifact_texts(base, manifest):
     """{name: text} of each file that manifest.json lists.  The manifest
     maps each name to the SHA-256 of its bytes; a file that is missing or
-    differs, or a manifest of another format, is refused.  A directory
-    from before format 2 has no format key: compile its sources again."""
+    differs, a name that is not one of ARTIFACT_FILES, or a manifest of
+    another format, is refused, the names before any file is read.  A
+    directory from before format 2 has no format key: compile its
+    sources again."""
     where = base / MANIFEST_JSON
     manifest = manifest if isinstance(manifest, dict) else {}
     form, files = manifest.get("format"), manifest.get("files")
@@ -97,11 +101,14 @@ def _artifact_texts(base, manifest):
         raise FstMorphError(f"{where}: unknown format {form!r}, expected "
                             f"{FORMAT}")
     files = files if isinstance(files, dict) else {}
-    texts = {}
     for name in sorted({GENERATOR_ATT, SYMBOLS_TSV, *files}):
-        path = base / name
         if name not in files:
             raise FstMorphError(f"{where}: files lacks {name}")
+        if name not in ARTIFACT_FILES:
+            raise FstMorphError(f"{where}: {name!r} is not an artifact file")
+    texts = {}
+    for name in sorted(files):
+        path = base / name
         if not path.is_file():
             raise FstMorphError(f"{path}: listed in {where} but missing")
         data = path.read_bytes()
@@ -152,7 +159,7 @@ def _load_artifacts(artifact_dir):
 def cmd_lookup(args):
     pipeline = _load_artifacts(args.artifacts)
     for raw in sys.stdin:
-        word = raw.rstrip("\n")
+        word = raw.rstrip("\r\n")
         if not word:
             continue
         try:

@@ -35,12 +35,14 @@ Only determinize checks that its input is an acceptor; minimize,
 complement and intersect check through it.  A flagged machine is an
 acceptor by construction, so it is returned before any arc is scanned.
 
-A flagged machine also has transition maps, one {label: dst} dict per
-state, built from its arcs on first use and kept like the arcs_from
-lists; intersect, complement and minimize read them.  Any machine has
-one input index, input_index: one {input label: arcs} dict per state,
-also built on first use and kept; compose and the lookup walk
-(lookup_paths and _word_coreachable) read it.
+Any machine has one per-state arc index, input_index: one {input
+label: arcs} dict per state, built on first use and kept.  Its dicts
+list a state's arcs in arc order, label by label, so compose,
+enumerate_paths, is_empty and the lookup walk (lookup_paths and
+_word_coreachable) all read it.  A flagged machine also has transition
+maps, one {label: dst} dict per state, built the same way; intersect,
+complement, minimize and compose_through read one target per label
+from them.
 
 _minimal is the one refine-and-number core.  It takes a reachable DFA
 as per-state maps, drops the states that reach no final, refines the
@@ -83,18 +85,20 @@ the caller trims them with _trim or, in intersect, refines them with
 _minimal.
 
 _trim walks forward once.  It marks the states co-reachable over all
-arcs, then renumbers by BFS from the start along arcs into marked
+arcs with _reach, the one reachability walk (determinize's epsilon
+closures, _minimal's live states, is_empty and _word_coreachable use it
+too), then renumbers by BFS from the start along arcs into marked
 states only.  Every state on a path from the start to a final is
 co-reachable, so that BFS reaches exactly the reachable and
-co-reachable states, with no separate reachability walk.  Its arcs come
-out sorted, so it builds its machine without sorting them again; any
-other Transducer(...) sorts the arcs it is given.  Every machine checks
-its state bounds once, in one pass over the arc targets.
+co-reachable states, with no separate reachability walk.  Transducer(...)
+is the one constructor: it sorts the arcs it is given and checks the
+state bounds once, in one pass over the arc targets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 
 from .errors import AlphabetMismatchError, NotAnAcceptorError
@@ -105,29 +109,16 @@ class Transducer:
     """States 0..num_states-1, arcs (src, in, out, dst), one start state."""
 
     __slots__ = ("table", "num_states", "start", "finals", "arcs",
-                 "deterministic", "_adj", "_by_input", "_steps")
+                 "deterministic", "_by_input", "_steps")
 
     def __init__(self, table, num_states, start, finals, arcs,
                  deterministic=False):
-        self._fill(table, num_states, start, finals, sorted(arcs),
-                   deterministic)
-
-    @classmethod
-    def _sorted(cls, table, num_states, start, finals, arcs, deterministic):
-        """A machine from arcs already in sorted order, as _trim emits
-        them; skips the sort that __init__ makes."""
-        t = cls.__new__(cls)
-        t._fill(table, num_states, start, finals, arcs, deterministic)
-        return t
-
-    def _fill(self, table, num_states, start, finals, arcs, deterministic):
         self.table = table
         self.num_states = num_states
         self.start = start
         self.finals = frozenset(finals)
-        self.arcs = tuple(arcs)
+        self.arcs = arcs = tuple(sorted(arcs))
         self.deterministic = deterministic
-        self._adj = None
         self._by_input = None
         self._steps = None
         # the arcs are sorted, so the last one has the largest source
@@ -136,17 +127,9 @@ class Transducer:
         assert not arcs or max(arcs[-1][0], max(map(itemgetter(3), arcs))) \
             < num_states
 
-    def arcs_from(self, state):
-        if self._adj is None:
-            adj = [[] for _ in range(self.num_states)]
-            for a in self.arcs:
-                adj[a[0]].append(a)
-            self._adj = adj
-        return self._adj[state]
-
     def input_index(self):
         """One {input label: arcs} dict per state, the arcs in arc order;
-        built on first use and kept, like the arcs_from lists."""
+        built on first use and kept."""
         if self._by_input is None:
             index = [{} for _ in range(self.num_states)]
             for a in self.arcs:
@@ -213,31 +196,35 @@ def _trim(table, num_states, start, finals, arcs, deterministic=False):
     for a in arcs:
         out[a[0]].append(a)
         bwd[a[3]].append(a[0])
-    coreach = set(finals)
-    stack = list(coreach)
-    while stack:
-        for p in bwd[stack.pop()]:
-            if p not in coreach:
-                coreach.add(p)
-                stack.append(p)
+    coreach = _reach(finals, bwd.__getitem__)
     order = {start: 0}  # alone if it reaches no final: the empty machine
     queue = [start]
     new_arcs = []
     for s in queue:  # grows while it is walked: BFS in new-id order
         src = order[s]
-        run = []
         for _, i, o, d in sorted(out[s]):
             if d in coreach:
                 new = order.get(d)
                 if new is None:
                     new = order[d] = len(queue)
                     queue.append(d)
-                run.append((src, i, o, new))
-        run.sort()
-        new_arcs += run
+                new_arcs.append((src, i, o, new))
     new_finals = {order[s] for s in finals if s in order}
-    return Transducer._sorted(table, len(order), 0, new_finals, new_arcs,
-                              deterministic)
+    return Transducer(table, len(order), 0, new_finals, new_arcs,
+                      deterministic)
+
+
+def _reach(seeds, step):
+    """The set of keys reachable from seeds, the seeds among them;
+    step(x) gives the keys that follow x, and is called once per key."""
+    seen = set(seeds)
+    stack = list(seen)
+    while stack:
+        for y in step(stack.pop()):
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
 
 
 def _explore(start, expand):
@@ -434,11 +421,13 @@ def _compose(a, start, moves, is_final):
     one may not follow a lone move of the other, and both move on
     epsilon together only from 0, so of the paths that differ only in
     how they interleave epsilon moves exactly one is kept."""
+    by_input = a.input_index()
+
     def expand(key):
         s1, s2, f = key
         eps = moves(s2, EPSILON_ID)
         out = []
-        for _, i1, o1, d1 in a.arcs_from(s1):
+        for _, i1, o1, d1 in chain.from_iterable(by_input[s1].values()):
             if o1 != EPSILON_ID:
                 out += [(i1, o2, (d1, d2, 0)) for o2, d2 in moves(s2, o1)]
             else:
@@ -482,14 +471,8 @@ def determinize(a: Transducer) -> Transducer:
     def closure(s):
         mask = closure_of.get(s)
         if mask is None:
-            seen = {s}
-            stack = [s]
-            while stack:
-                for d in eps[stack.pop()]:
-                    if d not in seen:
-                        seen.add(d)
-                        stack.append(d)
-            mask = closure_of[s] = sum(1 << q for q in seen & important)
+            mask = closure_of[s] = sum(
+                1 << q for q in _reach((s,), eps.__getitem__) & important)
         return mask
 
     labels = sorted(a.input_labels())
@@ -537,14 +520,7 @@ def _minimal(table, start, finals, steps):
                 into[c].append(p)
             else:
                 into[c] = [p]
-    live = set(finals)
-    stack = list(live)
-    while stack:
-        for ps in preds[stack.pop()].values():
-            for p in ps:
-                if p not in live:
-                    live.add(p)
-                    stack.append(p)
+    live = _reach(finals, lambda q: chain.from_iterable(preds[q].values()))
     partition = [s for s in (set(finals), live - finals) if s]
     block_of = [-1] * len(steps)
     for b, block in enumerate(partition):
@@ -616,8 +592,7 @@ def encoded_minimize(a: Transducer) -> Transducer:
                         for s, i, o, d in a.arcs])
     m = minimize(coded)
     arcs = [(s, *divmod(c, width), d) for s, c, _, d in m.arcs]
-    return Transducer._sorted(a.table, m.num_states, m.start, m.finals,
-                              arcs, False)
+    return Transducer(a.table, m.num_states, m.start, m.finals, arcs)
 
 
 def complement(a: Transducer, alphabet) -> Transducer:
@@ -679,6 +654,7 @@ def enumerate_paths(a: Transducer, max_input_len: int, max_count: int) -> PathSe
     max_count that the search met first, not the shortlex-first ones."""
     if max_input_len < 0 or max_count <= 0:
         raise ValueError("enumeration bounds must be positive")
+    index = a.input_index()
     found = set()
     truncated = False
     # stack entries: (state, input tuple, output tuple, eps_arcs_used)
@@ -690,7 +666,8 @@ def enumerate_paths(a: Transducer, max_input_len: int, max_count: int) -> PathSe
                 truncated = True
                 break
             found.add((inp, out))
-        for arc in reversed(a.arcs_from(state)):
+        # pushed last to first, so the arcs are taken in arc order
+        for arc in reversed([*chain.from_iterable(index[state].values())]):
             _, i, o, d = arc
             if i == EPSILON_ID:
                 # epsilon-input cycles give infinitely many outputs; cut
@@ -716,30 +693,21 @@ def _word_coreachable(a, index, ids):
     the states that trimming keeps in the string acceptor of ids
     composed with a."""
     n = len(ids)
-    start = (0, a.start)
-    seen = {start}
-    stack = [start]
     preds = {}
-    while stack:
-        node = stack.pop()
+
+    def succ(node):  # records node as a predecessor of each successor
         k, q = node
         arcs = index[q]
-        succ = [(k, arc[3]) for arc in arcs.get(EPSILON_ID, ())]
+        nxt = [(k, arc[3]) for arc in arcs.get(EPSILON_ID, ())]
         if k < n:
-            succ += [(k + 1, arc[3]) for arc in arcs.get(ids[k], ())]
-        for nxt in succ:
-            preds.setdefault(nxt, []).append(node)
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    live = {(k, q) for k, q in seen if k == n and q in a.finals}
-    stack = list(live)
-    while stack:
-        for p in preds.get(stack.pop(), ()):
-            if p not in live:
-                live.add(p)
-                stack.append(p)
-    return live
+            nxt += [(k + 1, arc[3]) for arc in arcs.get(ids[k], ())]
+        for m in nxt:
+            preds.setdefault(m, []).append(node)
+        return nxt
+
+    seen = _reach(((0, a.start),), succ)
+    return _reach([(n, q) for q in a.finals if (n, q) in seen],
+                  lambda node: preds.get(node, ()))
 
 
 def lookup_paths(a: Transducer, ids, max_count: int) -> PathSet:
@@ -807,12 +775,6 @@ def is_empty(a: Transducer) -> bool:
     deterministic is trimmed, so only its finals need a look."""
     if a.deterministic or not a.finals:
         return not a.finals
-    seen, stack = {a.start}, [a.start]
-    while stack:
-        q = stack.pop()
-        if q in a.finals:
-            return False
-        ahead = {arc[3] for arc in a.arcs_from(q)} - seen
-        seen |= ahead
-        stack += ahead
-    return True
+    index = a.input_index()
+    return a.finals.isdisjoint(_reach((a.start,), lambda q: [
+        arc[3] for arc in chain.from_iterable(index[q].values())]))

@@ -153,6 +153,8 @@ class SymbolTable:
             raise SymbolError("cannot intern empty symbol text")
         if not isinstance(text, str):
             raise SymbolError(f"symbol text must be str, got {type(text)!r}")
+        if "\t" in text:  # symbols.tsv and AT&T files are tab-separated
+            raise SymbolError(f"symbol {text!r} holds a tab")
         text = nfc(text)
         sid = self._index.get(text)
         if sid is None:

@@ -146,9 +146,19 @@ def random_acceptor(table, sym_ids, rng, max_states=5, max_arcs=10):
     return fst._trim(table, n, 0, finals, arcs)
 
 
+def arcs_by_state(machine):
+    """Per-state lists of machine's arcs in arc order, read from its
+    arcs alone, so a reference does not lean on the index it checks."""
+    adj = [[] for _ in range(machine.num_states)]
+    for arc in machine.arcs:
+        adj[arc[0]].append(arc)
+    return adj
+
+
 def language(a, max_len):
     """Set of accepted strings (id tuples) up to max_len; acceptors only."""
     d = fst.determinize(a)
+    adj = arcs_by_state(d)
     out = set()
     stack = [(d.start, ())]
     while stack:
@@ -157,7 +167,7 @@ def language(a, max_len):
             out.add(s)
         if len(s) == max_len:
             continue
-        for _, i, _, dst in d.arcs_from(state):
+        for _, i, _, dst in adj[state]:
             stack.append((dst, s + (i,)))
     return out
 
@@ -385,12 +395,13 @@ def random_pair_string(ruleset, rng, max_len=6):
             for _ in range(rng.randint(0, max_len))]
 
 
-def eps_closure(acceptor, states):
-    """The states reachable from states over epsilon arcs, as a frozenset."""
+def eps_closure(adj, states):
+    """The states reachable from states over epsilon arcs, as a frozenset;
+    adj holds each state's arcs, as arcs_by_state gives them."""
     seen = set(states)
     stack = list(states)
     while stack:
-        for _, i, _, d in acceptor.arcs_from(stack.pop()):
+        for _, i, _, d in adj[stack.pop()]:
             if i == EPSILON_ID and d not in seen:
                 seen.add(d)
                 stack.append(d)
@@ -401,11 +412,11 @@ def accepts(acceptor, pair_ids_seq):
     """NFA acceptance of a symbol-id sequence (acceptor arcs, with eps)."""
     if acceptor.num_states == 0:
         return False
-    current = eps_closure(acceptor, {acceptor.start})
+    adj = arcs_by_state(acceptor)
+    current = eps_closure(adj, {acceptor.start})
     for sym in pair_ids_seq:
-        nxt = {d for s in current
-               for _, i, _, d in acceptor.arcs_from(s) if i == sym}
-        current = eps_closure(acceptor, nxt)
+        nxt = {d for s in current for _, i, _, d in adj[s] if i == sym}
+        current = eps_closure(adj, nxt)
         if not current:
             return False
     return bool(current & acceptor.finals)
@@ -417,6 +428,7 @@ def reference_determinize(a):
     bitmasks: it must give the same machine, arc for arc."""
     important = set(a.finals)
     important.update(s for s, i, _, _ in a.arcs if i != EPSILON_ID)
+    adj = arcs_by_state(a)
     closure_of = [None] * a.num_states  # per-state closure, computed once
 
     def closure(states):
@@ -424,14 +436,14 @@ def reference_determinize(a):
         for s in states:
             c = closure_of[s]
             if c is None:
-                c = closure_of[s] = eps_closure(a, {s}) & important
+                c = closure_of[s] = eps_closure(adj, {s}) & important
             out |= c
         return frozenset(out)
 
     def expand(cur):
         moves = {}
         for s in cur:
-            for _, i, _, d in a.arcs_from(s):
+            for _, i, _, d in adj[s]:
                 if i != EPSILON_ID:
                     moves.setdefault(i, set()).add(d)
         return (bool(cur & a.finals),

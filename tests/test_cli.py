@@ -194,6 +194,7 @@ def rewrite_artifact(directory, name, text):
     ("missing", "orthography.tsv: listed in "),
     ("digest", "generator.att: SHA-256 differs from the one "),
     ("before-format-2", "manifest.json: unknown format None, expected 2"),
+    ("outside", "manifest.json: '../outside.txt' is not an artifact file"),
 ])
 def test_a_damaged_directory_is_refused(artifacts, tmp_path, capsys,
                                         monkeypatch, damage, message):
@@ -210,6 +211,9 @@ def test_a_damaged_directory_is_refused(artifacts, tmp_path, capsys,
             {"files": sorted(manifest["files"]), "mode": "pedagogical"}))
     elif damage == "missing":
         (broken / "orthography.tsv").unlink()
+    elif damage == "outside":  # a file outside the directory, digest right
+        (tmp_path / "outside.txt").write_text("x\n")
+        rewrite_artifact(broken, "../outside.txt", "x\n")
     else:
         with open(broken / "generator.att", "a", encoding="utf-8") as f:
             f.write("0\n")
@@ -286,6 +290,13 @@ def test_lookup_up_and_unknown(artifacts, capsys, monkeypatch):
                "radio\nzzzz\n", monkeypatch)
     assert code == 0
     assert capsys.readouterr().out == "radio\tradio+N+Sg+Nom\nzzzz\t+?\n"
+
+
+def test_lookup_reads_crlf_line_ends(artifacts, capsys, monkeypatch):
+    code = run(["lookup", str(artifacts), "--direction", "up"],
+               "radio\r\n", monkeypatch)
+    assert code == 0
+    assert capsys.readouterr().out == "radio\tradio+N+Sg+Nom\n"
 
 
 def test_lookup_up_relaxed(artifacts, capsys, monkeypatch):
@@ -494,6 +505,26 @@ def test_tab_in_gloss_fails_compile_before_writing(tmp_path, capsys):
     line = roots[:roots.index('"flow, stream"')].count("\n") + 1
     assert f"{line}: tab in gloss" in capsys.readouterr().err
     assert not (out / "glosses.tsv").exists()
+
+
+def test_tab_in_a_symbol_fails_compile_before_writing(tmp_path, capsys):
+    """An escaped tab in a lexc entry or a twol alphabet is refused where
+    it is read: symbols.tsv and generator.att are tab-separated."""
+    lexicon = tmp_path / "a.lexc"
+    rules = tmp_path / "a.twol"
+    out = tmp_path / "o"
+    for lexc_text, twol_text, where in [
+            ("LEXICON Root\na%\tb # ;\n", "Alphabet a b ;\n", lexicon),
+            ("LEXICON Root\nab # ;\n", "Alphabet a b %\t ;\n", rules)]:
+        lexicon.write_text(lexc_text, encoding="utf-8")
+        rules.write_text(twol_text, encoding="utf-8")
+        code = cli.main(["compile", str(lexicon), "--rules", str(rules),
+                         "--out", str(out)])
+        assert code == 2
+        line = 2 if where == lexicon else 1
+        assert f"error: {where}:{line}: symbol '\\t' holds a tab" \
+            in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_stats_matches_library(capsys, fixture_parsed, pipeline):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -7,10 +8,10 @@ from fstmorph import fst, twol
 from fstmorph.errors import AlphabetMismatchError, NotAnAcceptorError
 from fstmorph.symbols import EPSILON_ID, SymbolTable
 
-from conftest import (accepts, composed_relabel, equivalent_acceptors,
-                      language, random_acceptor, random_transducer,
-                      reference_determinize, reverse, same_machine,
-                      string_pair)
+from conftest import (accepts, arcs_by_state, composed_relabel,
+                      equivalent_acceptors, language, random_acceptor,
+                      random_transducer, reference_determinize, reverse,
+                      same_machine, string_pair)
 
 
 @pytest.fixture
@@ -179,11 +180,12 @@ def pair_product(a, b):
     from their starts, from their arcs alone and not trimmed."""
     da, db = fst.determinize(a), fst.determinize(b)
     step_b = {(s, i): d for s, i, _, d in db.arcs}
+    adj_a = arcs_by_state(da)
     index = {(da.start, db.start): 0}
     queue = [(da.start, db.start)]
     arcs = []
     for p, q in queue:  # grows while it is walked
-        for _, i, _, t in da.arcs_from(p):
+        for _, i, _, t in adj_a[p]:
             if (q, i) in step_b:
                 nxt = (t, step_b[q, i])
                 if nxt not in index:
@@ -469,6 +471,29 @@ def test_is_empty_looks_for_a_reachable_final(table):
                                            [(0, a, a, 1)]))
     assert not fst.is_empty(fst.epsilon_machine(table))
     assert fst.is_empty(fst.empty(table))
+
+
+def test_is_empty_agrees_with_a_bounded_path_search(table):
+    """is_empty on random untrimmed, unflagged machines against a
+    bounded search: a shortest accepting path repeats no arc, so it reads
+    at most num_states - 1 symbols and enumerate_paths finds it.  The
+    draws hold epsilon arcs, cycles, finals that cannot be reached and
+    states that reach no final."""
+    rng = random.Random(2323)
+    sym_ids = ids(table, "ab")
+    seen = Counter()
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        arcs = [(rng.randrange(n), rng.choice(sym_ids + [EPSILON_ID]),
+                 rng.choice(sym_ids + [EPSILON_ID]), rng.randrange(n))
+                for _ in range(rng.randint(0, 8))]
+        finals = {q for q in range(n) if rng.random() < 0.3}
+        a = fst.Transducer(table, n, rng.randrange(n), finals, arcs)
+        empty = not fst.enumerate_paths(a, a.num_states, 1).pairs
+        assert fst.is_empty(a) == empty, (a.start, a.finals, a.arcs)
+        seen["empty" if empty else "not empty"] += 1
+        seen["finals out of reach"] += empty and bool(finals)
+    assert min(seen.values()) > 50, seen
 
 
 def test_project(table):

@@ -46,6 +46,17 @@ def test_a_plain_symbol_declared_later_keeps_its_id():
     assert len(table) == 2
 
 
+def test_a_symbol_cannot_hold_a_tab():
+    """symbols.tsv and the AT&T files are tab-separated, so a symbol with
+    a tab in it could not be read back."""
+    table = SymbolTable()
+    for intern in (table.intern, table.declare_multichar):
+        for text in ("\t", "a\tb", "%\t"):
+            with pytest.raises(SymbolError, match="holds a tab"):
+                intern(text)
+    assert len(table) == 1
+
+
 def test_tokenize_longest_match():
     table = SymbolTable()
     table.declare_multichar("+Sg")
