@@ -20,7 +20,7 @@ import json
 import pathlib
 import sys
 
-from . import att, lexc, lookup, testkit, twol
+from . import att, lookup
 from .errors import FstMorphError, ParseError, PipelineError
 from .symbols import SymbolTable
 
@@ -45,6 +45,8 @@ def _read(path):
 
 
 def _build(args):
+    from . import lexc, twol  # only a build loads the compilers
+
     table = SymbolTable()
     ast = lexc.parse_lexc([(p, _read(p)) for p in args.lexicon], table)
     ruleset = twol.parse_twol(_read(args.rules), table, filename=args.rules)
@@ -180,6 +182,8 @@ def cmd_lookup(args):
 
 
 def cmd_test(args):
+    from . import testkit
+
     _, pipeline = _build(args)
     cases = testkit.parse_suite(_read(args.suite), filename=args.suite)
     report = testkit.run_suite(pipeline, cases, args.direction)
@@ -189,6 +193,8 @@ def cmd_test(args):
 
 
 def cmd_stats(args):
+    from . import testkit
+
     ast, pipeline = _build(args)
     stats = testkit.coverage_stats(ast, pipeline, max_len=args.max_len,
                                    max_count=args.max_count)
@@ -254,7 +260,7 @@ def build_parser():
     p = sub.add_parser("test", help="run a regression suite")
     _add_build_args(p)
     p.add_argument("--suite", required=True, help="suite file")
-    p.add_argument("--direction", choices=testkit.DIRECTIONS,
+    p.add_argument("--direction", choices=lookup.DIRECTIONS,
                    default="both")
     p.add_argument("--json", action="store_true",
                    help="JSON-lines report instead of text")

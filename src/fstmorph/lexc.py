@@ -28,10 +28,11 @@ sections in a file, does not change how an entry reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from . import fst
 from .errors import ParseError, SymbolError
-from .symbols import SymbolTable, find_unescaped, lex_lines
+from .symbols import SymbolTable, find_unescaped, lex_lines, split_lemma_pos
 
 END = "#"
 
@@ -186,38 +187,57 @@ def _validate(ast, filenames):
 def compile_lexicon(ast: LexiconAst) -> fst.Transducer:
     """The lexicon's analysis:surface relation as a minimal machine.
 
-    It is built with one sub-network per lexicon, in which every entry is
-    an arc chain ending in an epsilon transition into its continuation,
-    and then minimized with its pairs encoded (fst.encoded_minimize), so
-    shared prefixes and suffixes of the entries share states."""
-    table = ast.table
-    state_of = {}
-    counter = [0]
-
-    def fresh():
-        counter[0] += 1
-        return counter[0] - 1
-
-    for name in ast.lexicons:
-        state_of[name] = fresh()
-    final = fresh()
-    state_of[END] = final
-
-    arcs = []
-    for name, entries in ast.lexicons.items():
+    Each lexicon has a fixed start state, and END is the one final
+    state.  Between them a lexicon is a finite set of in:out pair
+    strings, the shorter side of an entry padded with epsilon, each
+    string followed by an epsilon arc into its continuation: acyclic,
+    even where continuations make the whole lexicon cyclic.  So each
+    lexicon is built as a trie over the pairs, rooted at its start
+    state, whose nodes record the continuations their entries end in.
+    Equal subtrees are merged bottom-up through one register keyed by a
+    node's signature, its sorted arcs: (in, out, merged child), and an
+    epsilon arc into each continuation (Revuz, TCS 1992; Daciuk et al.,
+    Computational Linguistics 2000).  fst.encoded_minimize then finishes
+    a machine that is already almost minimal."""
+    eps = fst.EPSILON_ID
+    state_of = {name: k for k, name in enumerate([*ast.lexicons, END])}
+    # trie node k < len(ast.lexicons) is the root of the k-th lexicon
+    children = [{} for _ in ast.lexicons]  # per node, {(in, out): node}
+    conts = [set() for _ in ast.lexicons]  # per node, continuation states
+    for root, entries in enumerate(ast.lexicons.values()):
         for e in entries:
-            cur = state_of[name]
-            n = max(len(e.analysis), len(e.surface))
-            for k in range(n):
-                i = e.analysis[k] if k < len(e.analysis) else fst.EPSILON_ID
-                o = e.surface[k] if k < len(e.surface) else fst.EPSILON_ID
-                nxt = fresh()
-                arcs.append((cur, i, o, nxt))
-                cur = nxt
-            arcs.append((cur, fst.EPSILON_ID, fst.EPSILON_ID,
-                         state_of[e.contlex]))
+            node = root
+            for pair in zip_longest(e.analysis, e.surface, fillvalue=eps):
+                nxt = children[node].get(pair)
+                if nxt is None:
+                    nxt = children[node][pair] = len(children)
+                    children.append({})
+                    conts.append(set())
+                node = nxt
+            conts[node].add(state_of[e.contlex])
+
+    # a child is made after its parent, so walking the nodes backwards
+    # meets every child first: a post-order with no recursion, which an
+    # entry thousands of symbols long would overflow
+    num_states = len(state_of)
+    state = [None] * len(children)
+    register = {}  # signature of a merged subtree: its state
+    arcs = []
+    for node in reversed(range(len(children))):
+        sig = tuple(sorted(
+            [(i, o, state[c]) for (i, o), c in children[node].items()]
+            + [(eps, eps, t) for t in conts[node]]))
+        if node < len(ast.lexicons):  # a start state is never merged
+            state[node] = node
+        elif sig in register:
+            state[node] = register[sig]
+            continue
+        else:
+            state[node] = register[sig] = num_states
+            num_states += 1
+        arcs += [(state[node], *arc) for arc in sig]
     return fst.encoded_minimize(fst.Transducer(
-        table, counter[0], state_of["Root"], {final}, arcs))
+        ast.table, num_states, state_of["Root"], {state_of[END]}, arcs))
 
 
 def extract_glosses(ast: LexiconAst) -> dict:
@@ -234,17 +254,3 @@ def extract_glosses(ast: LexiconAst) -> dict:
                 continue
             rows.setdefault((lemma, pos), []).append(e.gloss)
     return rows
-
-
-def split_lemma_pos(analysis_ids, table):
-    """Lemma text and first tag of an analysis-side symbol sequence."""
-    lemma = []
-    pos = None
-    for sid in analysis_ids:
-        text = table.resolve(sid)
-        if text.startswith("+"):
-            pos = text
-            break
-        lemma.append(text)
-    return "".join(lemma), pos
-

@@ -22,12 +22,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
-from . import fst, lexc, twol
+from . import fst
 from .errors import FstMorphError, PipelineError, SymbolError
-from .symbols import EPSILON_ID, SymbolTable
+from .symbols import EPSILON_ID, SymbolTable, split_lemma_pos
+
+if TYPE_CHECKING:  # imported at run time only where a pipeline is built
+    from . import lexc, twol
 
 MODES = ("pedagogical", "normative")
+DIRECTIONS = ("gen", "ana", "both")  # of a regression suite run
 
 
 @dataclass
@@ -89,6 +94,8 @@ def build_pipeline(lexicon_ast: lexc.LexiconAst, ruleset: twol.RuleSet,
     mode, used for accept-both analysis in pedagogical mode.
     relax_spec: {strict id: [variant ids]} or None.
     """
+    from . import lexc, twol
+
     if mode not in MODES:
         raise FstMorphError(f"unknown mode {mode!r}")
     table = lexicon_ast.table
@@ -134,7 +141,7 @@ def _analyses(pipeline, paths, relaxed):
         outputs.setdefault(table.render(out), out)
     result = []
     for text, out in sorted(outputs.items()):
-        lemma, pos = lexc.split_lemma_pos(out, table)
+        lemma, pos = split_lemma_pos(out, table)
         glosses = pipeline.glosses.get((lemma, pos), [])
         result.append(Analysis(text, relaxed, glosses))
     return result
@@ -157,6 +164,8 @@ def load_pipeline(lexc_texts, twol_text, mode: str = "pedagogical",
                   orthography_text=None, relax_text=None) -> Pipeline:
     """Parse lexicon and rule sources into one shared symbol table and
     assemble the pipeline.  Multiple lexicon files share a namespace."""
+    from . import lexc, twol
+
     table = SymbolTable()
     ast = lexc.parse_lexc([(None, text) for text in lexc_texts], table)
     ruleset = twol.parse_twol(twol_text, table)

@@ -317,3 +317,16 @@ class SymbolTable:
     def render(self, ids) -> str:
         """Concatenated text of a symbol-id sequence (epsilons dropped)."""
         return "".join(self.resolve(i) for i in ids if i != EPSILON_ID)
+
+
+def split_lemma_pos(analysis_ids, table):
+    """Lemma text and first tag of an analysis-side symbol sequence."""
+    lemma = []
+    pos = None
+    for sid in analysis_ids:
+        text = table.resolve(sid)
+        if text.startswith("+"):
+            pos = text
+            break
+        lemma.append(text)
+    return "".join(lemma), pos

@@ -19,9 +19,7 @@ from dataclasses import dataclass, field
 
 from . import fst, lexc, lookup
 from .errors import ParseError
-from .symbols import UnknownSymbolError
-
-DIRECTIONS = ("gen", "ana", "both")
+from .symbols import UnknownSymbolError, split_lemma_pos
 
 
 @dataclass
@@ -116,7 +114,7 @@ def parse_suite(source: str, filename: str = None) -> list:
 
 def run_suite(pipeline: lookup.Pipeline, cases,
               directions: str = "both") -> TestReport:
-    if directions not in DIRECTIONS:
+    if directions not in lookup.DIRECTIONS:
         raise ValueError(f"bad direction {directions!r}")
     report = TestReport()
     for case in cases:
@@ -211,7 +209,7 @@ def coverage_stats(lexicon_ast: lexc.LexiconAst, pipeline: lookup.Pipeline,
     per_pos = {}
     seen_lemmas = set()
     for entry in lexicon_ast.root:
-        lemma, pos = lexc.split_lemma_pos(entry.analysis, table)
+        lemma, pos = split_lemma_pos(entry.analysis, table)
         if pos is None or (lemma, pos) in seen_lemmas:
             continue
         seen_lemmas.add((lemma, pos))

@@ -226,9 +226,11 @@ def random_transducer(table, sym_ids, rng, max_states=4, max_arcs=8,
 
 
 def chain_lexicon(ast):
-    """The lexicon as lexc.compile_lexicon builds it before minimizing:
-    one sub-network per lexicon, each entry an analysis:surface arc
-    chain with an epsilon arc into its continuation; not trimmed."""
+    """The reference lexicon, not minimized and not trimmed: one
+    sub-network per lexicon, each entry an analysis:surface arc chain,
+    the shorter side padded with epsilon, with an epsilon arc into its
+    continuation.  Minimized with fst.encoded_minimize, it is what
+    lexc.compile_lexicon must build, arc for arc."""
     state_of = {name: k for k, name in enumerate([*ast.lexicons, lexc.END])}
     num = len(state_of)
     arcs = []

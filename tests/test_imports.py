@@ -1,11 +1,16 @@
 """Every name a module of the package imports is read in that module, no
 module but fst reads a private name of another, apart from the allowed
-ones, and the package imports nothing from outside the standard
-library."""
+ones, the package imports nothing from outside the standard library,
+and the commands that read an artifact load no compiler."""
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
 import sys
+
+import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "fstmorph"
 
@@ -91,3 +96,42 @@ def test_the_package_imports_only_the_standard_library():
     for path in sorted(SRC.glob("*.py")):
         found |= outside_imports(path)
     assert found - OUTSIDE_IMPORTS_ALLOWED == set()
+
+
+# Run in a fresh interpreter: the command's exit code and the compiler
+# modules it loaded, as the last line of output.
+COLD_RUN = """
+import json, sys
+from fstmorph import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m in {
+    "fstmorph.lexc", "fstmorph.twol", "fstmorph.testkit"})]))
+"""
+
+
+@pytest.fixture(scope="module")
+def fixture_artifacts(tmp_path_factory):
+    from fstmorph import cli
+
+    out = tmp_path_factory.mktemp("artifacts")
+    fixture = SRC / "fixtures" / "sms_mini"
+    assert cli.main(["compile", str(fixture / "roots.lexc"),
+                     str(fixture / "affixes.lexc"), "--rules",
+                     str(fixture / "phonology.twol"), "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("command", ["lookup", "export-att", "import-att"])
+def test_reading_an_artifact_loads_no_compiler(fixture_artifacts, command):
+    argv = {"lookup": ["lookup", str(fixture_artifacts)],
+            "export-att": ["export-att", str(fixture_artifacts)],
+            "import-att": ["import-att",
+                           str(fixture_artifacts / "generator.att"),
+                           "--symbols",
+                           str(fixture_artifacts / "symbols.tsv")]}[command]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", COLD_RUN, *argv],
+                          input="radio\n", capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert json.loads(done.stdout.splitlines()[-1]) == [0, []], done.stderr

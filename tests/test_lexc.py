@@ -6,7 +6,7 @@ from fstmorph import fst, lexc
 from fstmorph.errors import ParseError
 from fstmorph.symbols import SymbolTable
 
-from conftest import contlex_cycles
+from conftest import chain_lexicon, contlex_cycles, same_machine
 
 BASIC = """
 Multichar_Symbols +N +Sg +Nom %^TRIG
@@ -294,3 +294,88 @@ def test_layout_does_not_change_the_parse():
             len(body) for _, body in lexicons)
         assert parsed(_split(r, _layout(r, multis, lexicons, False))) \
             == canonical
+
+
+def _random_lexc(r):
+    """A lexc source of one to four lexicons whose entries share stems
+    and endings: epsilon-padded pairs, empty entries, duplicates, entries
+    that differ only in their continuation, and continuations that may
+    lead back to any lexicon, Root and the entry's own included."""
+    names = ["Root"] + r.sample(["A", "B", "C"], r.randint(0, 3))
+    stems = ["".join(r.choice("ab") for _ in range(r.randint(0, 3)))
+             for _ in range(3)]
+    ends = ["", "c", "+N", "c+N"]
+
+    def side():
+        return r.choice(stems) + r.choice(ends) or "0"
+
+    lines = ["Multichar_Symbols +N"]
+    for name in names:
+        lines.append(f"LEXICON {name}")
+        entries = []  # (pairs field or None, continuation)
+        for _ in range(r.randint(1, 6)):
+            pick = r.random()
+            cont = r.choice(names + ["#", "#"])
+            if entries and pick < 0.15:  # a duplicate
+                entries.append(r.choice(entries))
+            elif entries and pick < 0.3:  # same pairs, other continuation
+                entries.append((r.choice(entries)[0], cont))
+            elif pick < 0.4:  # an empty entry
+                entries.append((None, cont))
+            elif pick < 0.6:  # one side for both
+                entries.append((side(), cont))
+            else:
+                entries.append((f"{side()}:{side()}", cont))
+        lines += [f"{field or ''} {cont} ;" for field, cont in entries]
+    return "\n".join(lines) + "\n"
+
+
+def test_compile_lexicon_is_the_minimized_chain_reference():
+    r = random.Random(2025)
+    cyclic = 0
+    for _ in range(150):
+        ast = lexc.parse_lexc(_random_lexc(r))
+        cyclic += bool(contlex_cycles(ast))
+        assert same_machine(lexc.compile_lexicon(ast),
+                            fst.encoded_minimize(chain_lexicon(ast)))
+    assert cyclic >= 30
+
+
+def test_an_entry_of_5000_symbols_compiles_as_its_reference():
+    # the subtree merge runs without recursion, however long an entry
+    ast = lexc.parse_lexc(f"LEXICON Root\n{'ab' * 2500}:{'ba' * 2500} # ;\n")
+    assert same_machine(lexc.compile_lexicon(ast),
+                        fst.encoded_minimize(chain_lexicon(ast)))
+
+
+def _prefixed_lexicon(r, count):
+    """count nouns and verbs, each a random consonant prefix on one of a
+    few roots, over three shared continuation lexicons."""
+    roots = ["algg", "verdd", "radio", "kuett", "tietted"]
+    words = set()
+    while len(words) < count:
+        words.add("".join(r.choice("bfjklnrsv")
+                          for _ in range(r.randint(1, 4))) + r.choice(roots))
+    lines = ["Multichar_Symbols +N +V +Sg +Pl +Nom +Gen +Inf",
+             "LEXICON Root"]
+    for w in sorted(words):
+        cont = r.choice(["N", "N2", "V"])
+        lines.append(f"{w}{'+V' if cont == 'V' else '+N'}:{w} {cont} ;")
+    lines += ["LEXICON N", "+Sg+Nom:0 # ;", "+Sg+Gen:n # ;", "+Pl+Nom:t # ;",
+              "LEXICON N2", "+Sg+Nom:0 # ;", "+Sg+Gen:en # ;",
+              "LEXICON V", "+Inf:ed # ;"]
+    return "\n".join(lines) + "\n"
+
+
+def test_the_minimizer_receives_an_almost_minimal_lexicon(monkeypatch):
+    # counted work, not time: one arc chain per entry handed
+    # encoded_minimize 9 226 states for a 511-state result here
+    received = []
+    minimize = fst.encoded_minimize
+    monkeypatch.setattr(fst, "encoded_minimize",
+                        lambda a: received.append(a) or minimize(a))
+    ast = lexc.parse_lexc(_prefixed_lexicon(random.Random(1000), 1000))
+    assert len(ast.root) == 1000
+    result = lexc.compile_lexicon(ast)
+    assert [a.num_states for a in received] == [received[0].num_states]
+    assert received[0].num_states <= 1.1 * result.num_states
