@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .errors import ParseError
 from .fst import EPSILON_ID, Transducer, _trim
-from .symbols import EPSILON_TEXT, SymbolTable, find_unescaped
+from .symbols import EPSILON_TEXT, SymbolTable
 
 
 def export_att(t: Transducer, table: SymbolTable) -> str:
@@ -96,29 +96,15 @@ def import_att(text: str, table: SymbolTable,
 
 
 def export_symbols(table: SymbolTable) -> str:
-    """Sidecar listing every symbol: id, text, and a flag: "p" for a
-    pair symbol, "m" for another multichar, "-" for the rest."""
+    """Sidecar listing every symbol: id, text, and a flag: "m" for a
+    multichar, "-" for the rest."""
     lines = []
     for sym in table.symbols():
         if sym.id == EPSILON_ID:
             continue
-        flag = ("p" if table.is_pair_symbol(sym.id)
-                else "m" if table.is_multichar(sym.id) else "-")
+        flag = "m" if table.is_multichar(sym.id) else "-"
         lines.append(f"{sym.id}\t{sym.text}\t{flag}")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _pair_side(table, text, filename, lineno):
-    """The id of one side of a pair symbol's text, as pair_symbol spells
-    it: "0" for epsilon, "%" before a "%", ":" or "0" symbol."""
-    if text == "0":
-        return EPSILON_ID
-    if text in ("%%", "%:", "%0"):
-        text = text[1:]
-    if text not in table:
-        raise ParseError(f"pair side {text!r} is not an earlier symbol",
-                         filename, lineno)
-    return table.id_of(text)
 
 
 def import_symbols(text: str, filename: str = None) -> SymbolTable:
@@ -134,18 +120,13 @@ def import_symbols(text: str, filename: str = None) -> SymbolTable:
         sid, sym_text, flag = _number(parts[0]), parts[1], parts[2]
         if sid is None:
             raise ParseError(f"bad symbol id {parts[0]!r}", filename, lineno)
-        if flag == "p":
-            i = find_unescaped(sym_text, ":".__eq__)
-            sym = table.pair_symbol(
-                _pair_side(table, sym_text[:i], filename, lineno),
-                _pair_side(table, sym_text[i + 1:], filename, lineno))
-        elif flag == "m":
+        if flag == "m":
             sym = table.declare_multichar(sym_text)
         elif flag == "-":
             sym = table.intern(sym_text)
         else:
-            raise ParseError(f"bad multichar flag {flag!r}, expected 'p', "
-                             f"'m' or '-'", filename, lineno)
+            raise ParseError(f"bad multichar flag {flag!r}, expected 'm' or "
+                             f"'-'", filename, lineno)
         if sym.id != sid:
             raise ParseError("symbol file ids are not dense", filename,
                              lineno)

@@ -37,11 +37,22 @@ RELAX_TSV = "relax.tsv"
 MANIFEST_JSON = "manifest.json"
 ARTIFACT_FILES = {GENERATOR_ATT, SYMBOLS_TSV, GLOSSES_TSV, ORTHOGRAPHY_TSV,
                   RELAX_TSV}
-FORMAT = 2
+FORMAT = 3
+
+
+def _decode(data, path):
+    """The UTF-8 text of the bytes data read from path; a byte that is
+    not UTF-8 is a ParseError at its line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data[:exc.start].count(b"\n") + 1
+        raise ParseError(f"not UTF-8: {exc.reason} at byte {exc.start}",
+                         str(path), line) from None
 
 
 def _read(path):
-    return pathlib.Path(path).read_text(encoding="utf-8")
+    return _decode(pathlib.Path(path).read_bytes(), path)
 
 
 def _build(args):
@@ -94,8 +105,8 @@ def _artifact_texts(base, manifest):
     maps each name to the SHA-256 of its bytes; a file that is missing or
     differs, a name that is not one of ARTIFACT_FILES, or a manifest of
     another format, is refused, the names before any file is read.  A
-    directory from before format 2 has no format key: compile its
-    sources again."""
+    directory of format 2 (symbols.tsv with pair rows) or from before
+    it (no format key) is refused too: compile its sources again."""
     where = base / MANIFEST_JSON
     manifest = manifest if isinstance(manifest, dict) else {}
     form, files = manifest.get("format"), manifest.get("files")
@@ -117,7 +128,7 @@ def _artifact_texts(base, manifest):
         if sha256(data).hexdigest() != files[name]:
             raise FstMorphError(f"{path}: SHA-256 differs from the one "
                                 f"{where} lists")
-        texts[name] = data.decode("utf-8")
+        texts[name] = _decode(data, path)
     return texts
 
 

@@ -7,8 +7,8 @@ trimmed with BFS state numbering, as do project and expand_labels.
 union, concat and star lay the states of their inputs side by side, and
 invert and relabel keep the states of theirs; these five trim nothing,
 because determinize, compose and att.export_att renumber what they
-read.  Arc labels are symbol ids from one shared SymbolTable; id 0 is
-epsilon.
+read.  Arc labels are symbol ids from one shared SymbolTable, or in a
+rule machine its pair labels (SymbolTable.pair_symbol); 0 is epsilon.
 
 A machine carries ``deterministic=True`` only when its construction
 guarantees a trimmed, BFS-numbered DFA: the outputs of determinize,
@@ -54,22 +54,24 @@ predecessor set, so the final and the nonfinal block each split states
 the other cannot, and both start in Hopcroft's work set.  minimize is
 determinize followed by _minimal.  intersect hands the raw reachable
 pair product of its two machines to _minimal without trimming it
-first, so it returns the minimal DFA of the intersection; the minimal
+first, so it returns the minimal DFA of the intersection, and
+complement hands it the complete DFA of the complement; the minimal
 DFA is unique and _trim's numbering canonical, so that is the machine
 minimize would make of any DFA of the same language.
 
-Which machines are minimal: the outputs of minimize and intersect, as
-DFAs, those of expand_labels of a minimal DFA, and those of
-encoded_minimize, as transducers.  expand_labels puts each arc on a
+Which machines are minimal: the outputs of minimize, complement and
+intersect, as DFAs, those of expand_labels of a minimal DFA, and those
+of encoded_minimize, as transducers.  expand_labels puts each arc on a
 label once per symbol of the label's class; twol.compile_rule builds
-each rule over its own classes of pairs and expands it so.  encoded_minimize reads each in:out pair as one label,
-minimizes that acceptor and decodes it (Mohri 2000), so its result is
+each rule over its own classes of pairs and expands it so.
+encoded_minimize reads each in:out pair as one label, minimizes that
+acceptor and decodes it (Mohri 2000), so its result is
 the minimal deterministic machine of a transducer's pair strings:
 minimal for the alignment of in and out symbols that the paths fix,
 which need not be the smallest transducer of the relation.  The lexicon
 (lexc.compile_lexicon) and the stored generator (lookup.build_pipeline)
-are its outputs.  determinize and complement give DFAs that need not be
-minimal; compose, compose_through, relabel, invert, project and the
+are its outputs.  determinize gives DFAs that need not be minimal;
+compose, compose_through, relabel, invert, project and the
 rational operations minimize nothing.
 
 Every construction that explores its states lazily from a start key
@@ -81,8 +83,8 @@ machine and a filter state).  compose_through's other machine is the
 tuple of the states of its DFAs, so the lexicon composed through the
 rules is one product (twol.apply_rules).  Each gives only expand(key),
 the key's finality and moves; _explore numbers the reachable keys, and
-the caller trims them with _trim or, in intersect, refines them with
-_minimal.
+the caller trims them with _trim or, in intersect and complement,
+refines them with _minimal.
 
 _trim walks forward once.  It marks the states co-reachable over all
 arcs with _reach, the one reachability walk (determinize's epsilon
@@ -596,8 +598,10 @@ def encoded_minimize(a: Transducer) -> Transducer:
 
 
 def complement(a: Transducer, alphabet) -> Transducer:
-    """Sigma* minus L(a), relative to an explicit closed alphabet: arcs
-    of a on labels outside it are never followed."""
+    """The minimal DFA of Sigma* minus L(a), relative to an explicit
+    closed alphabet: arcs of a on labels outside it are never followed.
+    The complete DFA of the complement, its sink included, is refined by
+    _minimal."""
     alphabet = sorted(set(alphabet))
     if EPSILON_ID in alphabet:
         raise ValueError("epsilon cannot be a complement alphabet member")
@@ -611,7 +615,7 @@ def complement(a: Transducer, alphabet) -> Transducer:
                 [(lab, lab, step.get(lab, sink)) for lab in alphabet])
 
     n, finals, arcs = _explore(d.start, expand)
-    return _trim(d.table, n, 0, finals, arcs, deterministic=True)
+    return _minimal(d.table, 0, finals, _step_maps(n, arcs))
 
 
 def intersect(a: Transducer, b: Transducer) -> Transducer:

@@ -143,7 +143,9 @@ class SymbolTable:
         # first code point -> the lengths (2 or more) of the contents it
         # starts, longest first: the only lengths tokenize tries there
         self._starts = {}
-        self._pair_parts = {}  # pair-symbol id -> (upper id, lower id)
+        # pair labels, a namespace apart from the symbol ids
+        self._pair_labels = {}  # (upper id, lower id) -> label
+        self._pair_parts = [None]  # label -> (upper id, lower id)
         self._frozen = False
 
     # -- interning ---------------------------------------------------------
@@ -289,30 +291,23 @@ class SymbolTable:
             out.append(symbols[match_id])
         return out
 
-    # -- pair symbols ------------------------------------------------------
+    # -- pair labels -------------------------------------------------------
 
-    def pair_symbol(self, upper: int, lower: int) -> Symbol:
-        """Intern the composite "upper:lower" symbol (epsilon spelled "0",
-        a '%', ':' or '0' side with a '%' before it, so that the text
-        unescapes as a multichar and splits at its one unescaped ':')."""
-        def side(sid):
-            text = "0" if sid == EPSILON_ID else self.resolve(sid)
-            return "%" + text if sid and text in ("%", ":", "0") else text
+    def pair_symbol(self, upper: int, lower: int) -> int:
+        """The label of the pair upper:lower (either side may be epsilon),
+        handed out from 1 up in first-use order.  Labels are not symbols:
+        they are never interned, so they add nothing to the table or to
+        symbols.tsv, and only rule machines carry them."""
+        label = self._pair_labels.get((upper, lower))
+        if label is None:
+            label = self._pair_labels[upper, lower] = len(self._pair_parts)
+            self._pair_parts.append((upper, lower))
+        return label
 
-        sym = self.intern(f"{side(upper)}:{side(lower)}", multichar=True)
-        self._pair_parts[sym.id] = (upper, lower)
-        return sym
-
-    def pair_parts(self, sid: int) -> tuple[int, int]:
-        try:
-            return self._pair_parts[sid]
-        except KeyError:
-            raise SymbolError(
-                f"symbol {self.resolve(sid)!r} is not a pair symbol"
-            ) from None
-
-    def is_pair_symbol(self, sid: int) -> bool:
-        return sid in self._pair_parts
+    def pair_parts(self, label: int) -> tuple[int, int]:
+        if not 0 < label < len(self._pair_parts):
+            raise SymbolError(f"{label!r} is not a pair label")
+        return self._pair_parts[label]
 
     def render(self, ids) -> str:
         """Concatenated text of a symbol-id sequence (epsilons dropped)."""

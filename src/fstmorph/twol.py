@@ -20,7 +20,10 @@ restriction (Yli-Jyrä & Koskenniemi 2004): a center occurrence marked
 on both sides, minus the marked strings in context, then unmarked (the
 marker arcs become epsilon arcs).  The marker is never interned: the
 table is written out as symbols.tsv, which must not depend on how the
-rules compile.
+rules compile.  Nor are the pair labels a compiled rule reads
+(SymbolTable.pair_symbol): they count up from 1 apart from the symbol
+ids, and no machine holds both, since compose_through reads a symbol,
+steps the rule DFAs on a pair label and writes a symbol.
 
 Each rule compiles over its own classes of feasible pairs, as foma
 does with its "other" symbol (Hulden 2009): two pairs share a class
@@ -106,7 +109,7 @@ class FeasiblePairs:
         return pair in self._set
 
     def pair_ids(self):
-        return [self.table.pair_symbol(l, s).id for l, s in self.pairs]
+        return [self.table.pair_symbol(l, s) for l, s in self.pairs]
 
     def pair_id(self, l, s):
         if (l, s) not in self._set:
@@ -114,7 +117,7 @@ class FeasiblePairs:
                 f"pair {self.table.resolve(l)}:{self.table.resolve(s)}"
                 " is not in the feasible-pair alphabet"
             )
-        return self.table.pair_symbol(l, s).id
+        return self.table.pair_symbol(l, s)
 
 
 @dataclass
@@ -518,14 +521,14 @@ def _atoms(node):
 
 
 def _pair_classes(rule, ruleset):
-    """The rule's classes of feasible pairs, {first pair: [pair ids]} in
+    """The rule's classes of feasible pairs, {first pair: [pair labels]} in
     declaration order.  Two pairs share a class when each context Atom
     matches both or neither, and so do the center and the `<=` wrong
     set (the center's lexical side with another surface side)."""
     a, b = rule.center
     atoms = set().union(*(_atoms(side) for ctx in rule.contexts
                           for side in ctx))
-    classes = {}  # membership signature: (first pair, pair ids)
+    classes = {}  # membership signature: (first pair, pair labels)
     for l, s in ruleset.alphabet.pairs:
         key = ((l, s) == (a, b), l == a and s != b,
                *(_matches(x, (l, s)) for x in atoms))
@@ -556,7 +559,7 @@ def _regex_to_fst(node, table, labels):
 
 
 def compile_rule(rule: TwolRule, ruleset: RuleSet) -> fst.Transducer:
-    """Acceptor over pair symbols: exactly the strings check_rule accepts.
+    """Acceptor over pair labels: exactly the strings check_rule accepts.
 
     It is the complement of the violations: for `<=`, in_context(the
     center's lexical side with another surface side); for `/<=`,
@@ -606,7 +609,7 @@ def compile_rule(rule: TwolRule, ruleset: RuleSet) -> fst.Transducer:
             viol, in_context(fst.symbol_set_acceptor(table, wrong)))
     if rule.op == "/<=":
         viol = in_context(fst.symbol_set_acceptor(table, [labels[a, b]]))
-    return fst.expand_labels(fst.minimize(fst.complement(viol, sigma)),
+    return fst.expand_labels(fst.complement(viol, sigma),
                              dict(zip(sigma, classes.values())))
 
 
@@ -658,7 +661,7 @@ def apply_rules(lexicon: fst.Transducer, ruleset: RuleSet) -> fst.Transducer:
     pair.  The product follows only the pair strings the lexicon reads,
     so it stays lexicon-sized, and the rules' intersection, which over
     all pair strings can explode, is never built."""
-    by_lex = {}  # lexical symbol: [(pair id, surface symbol)]
+    by_lex = {}  # lexical symbol: [(pair label, surface symbol)]
     for (l, s), pid in zip(ruleset.alphabet.pairs,
                            ruleset.alphabet.pair_ids()):
         by_lex.setdefault(l, []).append((pid, s))

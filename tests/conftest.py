@@ -248,7 +248,7 @@ def chain_lexicon(ast):
 
 
 def pairs_to_transducer(acceptor, table):
-    """An acceptor over pair symbols read as a transducer: each pair arc
+    """An acceptor over pair labels read as a transducer: each pair arc
     becomes an arc from its lexical to its surface side."""
     arcs = []
     for src, i, o, dst in acceptor.arcs:

@@ -1,7 +1,7 @@
 import pytest
 
-from fstmorph import att, fst, lookup, twol
-from fstmorph.errors import ParseError, UnknownSymbolError
+from fstmorph import att, fst, twol
+from fstmorph.errors import ParseError
 from fstmorph.symbols import EPSILON_ID, EPSILON_TEXT, SymbolTable
 
 from conftest import string_pair
@@ -92,7 +92,6 @@ def test_import_symbols_rejects_a_bad_id_or_flag(table):
 def test_percent_symbol_survives_the_sidecar():
     table = SymbolTable()
     pct = table.symbol_for("%%").id
-    table.pair_symbol(pct, pct)
     text = att.export_symbols(table)
     restored = att.import_symbols(text)
     assert att.export_symbols(restored) == text
@@ -100,27 +99,22 @@ def test_percent_symbol_survives_the_sidecar():
     assert [s.id for s in restored.tokenize("%%")] == [pct]
 
 
-def test_pair_symbols_read_back_as_pairs():
-    pipe = lookup.load_pipeline(["LEXICON Root\na # ;\n"], "Alphabet a b ;")
-    table = pipe.table
-    restored = att.import_symbols(att.export_symbols(table))
-    for t in (table, restored):
-        with pytest.raises(UnknownSymbolError):
-            t.tokenize("a:a", intern_new=False)
-    pairs = [s.id for s in table.symbols() if table.is_pair_symbol(s.id)]
-    assert pairs
-    assert [restored.pair_parts(p) for p in pairs] == [
-        table.pair_parts(p) for p in pairs]
+def test_symbols_tsv_has_no_pair_rows(pipeline):
+    """The compiled fixture's pair labels are not symbols: its sidecar
+    has only "m" and "-" rows, and a "p" row is refused where it
+    stands."""
+    text = att.export_symbols(pipeline.table)
+    flags = {line.split("\t")[2] for line in text.splitlines()}
+    assert flags == {"m", "-"}
+    with pytest.raises(ParseError,
+                       match="^symbols.tsv:2: bad multichar flag 'p'"):
+        att.import_symbols("1\ta\t-\n2\ta:a\tp\n", "symbols.tsv")
 
 
 def test_pair_sides_that_need_escapes_stay_apart():
-    # ':' and '0' sides are spelled "%:" and "%0", so a literal 0 is not
-    # epsilon and each text splits at its one unescaped ':'
+    # "%0:a" is a literal 0 over a, not epsilon, and "%::b" a ':' over b
     rules = twol.parse_twol("Alphabet\n a %0:a 0:a %::b b:%: %%:0 ;\n")
     table = rules.table
-    pids = rules.alphabet.pair_ids()
-    assert len(set(pids)) == len(pids)
-    text = att.export_symbols(table)
-    restored = att.import_symbols(text)
-    assert att.export_symbols(restored) == text
-    assert [restored.pair_parts(p) for p in pids] == rules.alphabet.pairs
+    labels = rules.alphabet.pair_ids()
+    assert len(set(labels)) == len(labels) == 6
+    assert [table.pair_parts(p) for p in labels] == rules.alphabet.pairs

@@ -50,7 +50,7 @@ def test_compile_writes_artifacts(artifacts):
     assert names == {"generator.att", "symbols.tsv", "glosses.tsv",
                      "orthography.tsv", "relax.tsv", "manifest.json"}
     manifest = json.loads((artifacts / "manifest.json").read_text())
-    assert manifest == {"format": 2, "mode": "pedagogical",
+    assert manifest == {"format": 3, "mode": "pedagogical",
                         "files": {name: sha256(artifacts / name)
                                   for name in names - {"manifest.json"}}}
     assert (artifacts / "relax.tsv").read_text(encoding="utf-8") == \
@@ -190,22 +190,23 @@ def rewrite_artifact(directory, name, text):
 
 
 @pytest.mark.parametrize("damage, message", [
-    ("format", "manifest.json: unknown format 3, expected 2"),
+    ("format", "manifest.json: unknown format 2, expected 3"),
     ("missing", "orthography.tsv: listed in "),
     ("digest", "generator.att: SHA-256 differs from the one "),
-    ("before-format-2", "manifest.json: unknown format None, expected 2"),
+    ("before-format-2", "manifest.json: unknown format None, expected 3"),
     ("outside", "manifest.json: '../outside.txt' is not an artifact file"),
 ])
 def test_a_damaged_directory_is_refused(artifacts, tmp_path, capsys,
                                         monkeypatch, damage, message):
-    """A directory from before format 2, whose manifest has no format key
-    and lists its files without digests, is refused as well: compile its
-    sources again."""
+    """A format-2 directory, whose symbols.tsv lists pair rows, and one
+    from before format 2, whose manifest has no format key and lists its
+    files without digests, are refused as well: compile their sources
+    again."""
     broken = copy_dir(artifacts, tmp_path / "broken")
     manifest = json.loads((broken / "manifest.json").read_text())
     if damage == "format":
         (broken / "manifest.json").write_text(
-            json.dumps(dict(manifest, format=3)))
+            json.dumps(dict(manifest, format=2)))
     elif damage == "before-format-2":
         (broken / "manifest.json").write_text(json.dumps(
             {"files": sorted(manifest["files"]), "mode": "pedagogical"}))

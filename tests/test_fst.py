@@ -354,11 +354,11 @@ def pair_relation(t, max_pairs):
 
 
 def pair_acceptor(t):
-    """t as an acceptor over the table's pair symbols, epsilon:epsilon
+    """t as an acceptor over the table's pair labels, epsilon:epsilon
     read as epsilon: an encoding apart from fst's."""
     def code(i, o):
         return EPSILON_ID if i == o == EPSILON_ID else \
-            t.table.pair_symbol(i, o).id
+            t.table.pair_symbol(i, o)
 
     return fst.Transducer(t.table, t.num_states, t.start, t.finals,
                           [(s, code(i, o), code(i, o), d)
@@ -369,7 +369,7 @@ def test_encoded_minimize_is_the_minimal_machine_of_the_pair_strings(table):
     """On random transducers with epsilon-input, epsilon-output and
     epsilon:epsilon arcs, many of them cyclic: the relation is kept, a
     second pass changes nothing, and the state count is that of
-    Brzozowski's minimal DFA of the pair-symbol acceptor."""
+    Brzozowski's minimal DFA of the pair-label acceptor."""
     sym_ids = ids(table, "ab")
     rng = random.Random(1701)
     kinds = {"cyclic": 0, "eps-in": 0, "eps-out": 0, "changed": 0}

@@ -8,7 +8,9 @@ missing LEXICON Root in several lexicon files has no one file or line, so
 there the message naming the files locates it.  Each artifact mutant (the
 same edits in one file of a compiled directory, its digest rewritten into
 the manifest) either loads and looks words up, or exits 2 with a message
-that names a file of the directory.  No other exception is allowed.
+that names a file of the directory.  No other exception is allowed.  A
+byte that is not UTF-8, in a source or an artifact file, exits 2 with
+its file and line.
 """
 
 import hashlib
@@ -82,8 +84,9 @@ def test_every_source_mutant_builds_or_fails_located():
     assert min(outcomes.values()) > SOURCE_MUTANTS // 5, outcomes
 
 
-def rewrite(directory, name, text):
-    data = text.encode("utf-8")
+def rewrite(directory, name, data):
+    """Write the bytes data into directory as name, and their SHA-256
+    into its manifest."""
     (directory / name).write_bytes(data)
     path = directory / "manifest.json"
     manifest = json.loads(path.read_text())
@@ -114,7 +117,7 @@ def test_every_artifact_mutant_loads_or_names_a_file(tmp_path, capsys,
             (broken / name).write_bytes((compiled / name).read_bytes())
         name = rng.choice(files)
         text = mutate(originals[name], rng, "\t")
-        rewrite(broken, name, text)
+        rewrite(broken, name, text.encode("utf-8"))
         monkeypatch.setattr("sys.stdin", io.StringIO("radio\nviirdi\n"))
         capsys.readouterr()
         code = cli.main(["lookup", str(broken)])
@@ -124,3 +127,32 @@ def test_every_artifact_mutant_loads_or_names_a_file(tmp_path, capsys,
             assert err.startswith(f"error: {broken}/"), (name, text, err)
         outcomes[code] += 1
     assert min(outcomes.values()) > ARTIFACT_MUTANTS // 20, outcomes
+
+
+def test_a_byte_that_is_not_utf8_is_located(tmp_path, capsys, monkeypatch):
+    """A stray 0xff byte in a source file, or in an artifact file whose
+    digest the manifest lists, exits 2 with the file and its line."""
+    compiled = tmp_path / "compiled"
+
+    def compile_with(roots):
+        return cli.main(["compile", str(roots),
+                         str(FIXTURE_DIR / "affixes.lexc"),
+                         "--rules", str(FIXTURE_DIR / "phonology.twol"),
+                         "--out", str(compiled)])
+
+    roots = tmp_path / "roots.lexc"
+    data = (FIXTURE_DIR / "roots.lexc").read_bytes() + b"\xff\n"
+    roots.write_bytes(data)
+    line = data.count(b"\n")  # the 0xff byte's own line
+    assert compile_with(roots) == 2
+    assert capsys.readouterr().err.startswith(f"error: {roots}:{line}: ")
+
+    assert compile_with(FIXTURE_DIR / "roots.lexc") == 0
+    symbols = compiled / "symbols.tsv"
+    lines = symbols.read_bytes().splitlines(keepends=True)
+    rewrite(compiled, "symbols.tsv", b"".join([*lines[:2], b"\xff\n",
+                                               *lines[2:]]))
+    monkeypatch.setattr("sys.stdin", io.StringIO("radio\n"))
+    capsys.readouterr()
+    assert cli.main(["lookup", str(compiled)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {symbols}:3: ")

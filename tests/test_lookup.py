@@ -322,3 +322,20 @@ def test_analysis_holding_a_percent_symbol_gets_its_glosses():
         "Alphabet\n p c t %% +N:0 ;\n")
     (analysis,) = lookup.analyze(pipe, "pct%%")
     assert (analysis.text, analysis.glosses) == ("pct%+N", ["per"])
+
+
+@pytest.mark.parametrize("mode", lookup.MODES)
+def test_building_interns_no_symbol(fixture_sources, mode):
+    """Every symbol comes from a source: building the fixture's pipeline
+    from its parsed sources adds nothing to the table, so symbols.tsv
+    does not depend on how the rules compile."""
+    table = SymbolTable()
+    ast = lexc.parse_lexc([(None, t) for t in fixture_sources["lexc"]],
+                          table)
+    ruleset = twol.parse_twol(fixture_sources["twol"], table)
+    orthography = lookup.parse_orthography_file(
+        fixture_sources["orthography"], table)
+    relax = lookup.parse_mapping_file(fixture_sources["relax"], table)
+    parsed = len(table)
+    lookup.build_pipeline(ast, ruleset, mode, orthography, relax)
+    assert len(table) == parsed

@@ -88,13 +88,20 @@ def test_tokenize_archiphoneme():
 
 
 def test_pair_symbol_rendering():
+    """A pair label counts up from 1 in first-use order, apart from the
+    symbol ids: it adds no symbol to the table."""
     table = SymbolTable()
     a = table.intern("a").id
-    pair = table.pair_symbol(a, EPSILON_ID)
-    assert pair.text == "a:0"
-    assert table.pair_parts(pair.id) == (a, EPSILON_ID)
-    assert table.is_pair_symbol(pair.id)
-    assert not table.is_pair_symbol(a)
+    b = table.intern("b").id
+    assert table.pair_symbol(a, EPSILON_ID) == 1
+    assert table.pair_symbol(b, a) == 2
+    assert table.pair_symbol(a, EPSILON_ID) == 1
+    assert table.pair_parts(1) == (a, EPSILON_ID)
+    assert table.pair_parts(2) == (b, a)
+    assert len(table) == 3
+    for label in (0, 3):
+        with pytest.raises(SymbolError, match="is not a pair label"):
+            table.pair_parts(label)
 
 
 def test_render_round_trip():
